@@ -236,22 +236,27 @@ let encoding name =
 (* ------------------------------------------------------------------ *)
 (* benchmark instances and their minimal widths, computed once         *)
 
+(* The one minimal-width search, with four times the cell budget per
+   ladder query. *)
+let search_w_min (inst : F.Benchmarks.instance) =
+  match
+    C.Incremental_width.minimal_colors ~strategy:Strategy.best_single
+      ~budget:(Sat.Solver.time_budget (4. *. !budget_seconds))
+      inst.F.Benchmarks.graph
+  with
+  | Ok r -> r.C.Incremental_width.w_min
+  | Error m ->
+      failwith
+        (Printf.sprintf "width search failed on %s: %s"
+           inst.F.Benchmarks.spec.F.Benchmarks.name m)
+
 type prepared = { inst : F.Benchmarks.instance; w_min : int }
 
 let prepare_all () =
   List.map
     (fun spec ->
       let inst = F.Benchmarks.build spec in
-      let search_budget = Sat.Solver.time_budget (4. *. !budget_seconds) in
-      match
-        C.Binary_search.minimal_width ~strategy:Strategy.best_single
-          ~budget:search_budget inst.F.Benchmarks.route
-      with
-      | Ok r -> { inst; w_min = r.C.Binary_search.w_min }
-      | Error m ->
-          failwith
-            (Printf.sprintf "width search failed on %s: %s"
-               spec.F.Benchmarks.name m))
+      { inst; w_min = search_w_min inst })
     F.Benchmarks.specs
 
 let prepared = lazy (prepare_all ())
@@ -727,7 +732,7 @@ let section_baselines () =
      limit; DSATUR cells marked W=x needed more than w_min tracks)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: multi-level hierarchies and preprocessing               *)
+(* Extensions: multi-level hierarchies                                *)
 
 let section_extensions () =
   print_string
@@ -758,87 +763,40 @@ let section_extensions () =
     (Report.render_table
        ~header:("Benchmark" :: List.map E.Encoding.name encodings)
        rows);
-  print_string (Report.section "Extension: CNF preprocessing (Simplify)");
-  print_endline
-    "Does preprocessing close the gap between encodings? muldirect without\n\
-     symmetry breaking, UNSAT at w_min - 1, with and without Simplify.\n";
-  let rows =
-    List.map
-      (fun pb ->
-        let csp =
-          E.Csp.make pb.inst.F.Benchmarks.graph ~k:(pb.w_min - 1)
-        in
-        let encoded = E.Csp_encode.encode (encoding "muldirect") csp in
-        let cnf = encoded.E.Csp_encode.cnf in
-        let budget = Sat.Solver.time_budget !budget_seconds in
-        let t0 = Sys.time () in
-        let plain = fst (Sat.Solver.solve ~budget cnf) in
-        let t_plain = Sys.time () -. t0 in
-        let t0 = Sys.time () in
-        let pre, pre_stats, _ = Sat.Simplify.solve ~budget cnf in
-        let t_pre = Sys.time () -. t0 in
-        let tag = function
-          | Sat.Solver.Unsat -> ""
-          | Sat.Solver.Sat _ -> "?!"
-          | Sat.Solver.Unknown -> "T/O "
-          | Sat.Solver.Memout -> "M/O "
-        in
-        [
-          bench_name pb;
-          tag plain ^ Report.format_seconds t_plain;
-          tag pre ^ Report.format_seconds t_pre;
-          Format.asprintf "%a" Sat.Simplify.pp_stats pre_stats;
-        ])
-      benches
-  in
-  print_string
-    (Report.render_table
-       ~header:[ "Benchmark"; "plain"; "simplify+solve"; "preprocessing effect" ]
-       rows);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Incremental width search vs per-width re-translation                *)
+(* Incremental width search                                           *)
 
 let section_incremental () =
   print_string
     (Report.section
        "Extension: incremental width search (one solver, colour selectors)");
   print_endline
-    "Minimal-width search: re-translate per width (the paper's flow) vs a\n\
-     single incremental solver with colour-off selector assumptions.\n";
+    "Minimal-width search on a single incremental solver with colour-off\n\
+     selector assumptions.\n";
   let budget = Sat.Solver.time_budget !budget_seconds in
   let rows =
     List.map
       (fun pb ->
-        let route = pb.inst.F.Benchmarks.route in
-        let graph = pb.inst.F.Benchmarks.graph in
         let t0 = Sys.time () in
-        let bs = C.Binary_search.minimal_width ~budget route in
-        let t_bs = Sys.time () -. t0 in
-        let t0 = Sys.time () in
-        let inc = C.Incremental_width.minimal_colors ~budget graph in
+        let inc =
+          C.Incremental_width.minimal_colors ~budget pb.inst.F.Benchmarks.graph
+        in
         let t_inc = Sys.time () -. t0 in
-        match (bs, inc) with
-        | Ok bs, Ok inc ->
-            if bs.C.Binary_search.w_min <> inc.C.Incremental_width.w_min then
-              Printf.eprintf "WARNING: width search mismatch on %s!\n"
-                (bench_name pb);
+        match inc with
+        | Ok inc ->
             [
               bench_name pb;
-              string_of_int bs.C.Binary_search.w_min;
-              Printf.sprintf "%s (%d queries)" (Report.format_seconds t_bs)
-                (List.length bs.C.Binary_search.runs);
+              string_of_int inc.C.Incremental_width.w_min;
               Printf.sprintf "%s (%d queries)" (Report.format_seconds t_inc)
                 inc.C.Incremental_width.queries;
             ]
-        | Error m, _ | _, Error m -> [ bench_name pb; "?"; m; "" ])
+        | Error m -> [ bench_name pb; "?"; m ])
       (Lazy.force prepared)
   in
   print_string
-    (Report.render_table
-       ~header:[ "Benchmark"; "w_min"; "re-translate"; "incremental" ]
-       rows);
+    (Report.render_table ~header:[ "Benchmark"; "w_min"; "incremental" ] rows);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -977,16 +935,7 @@ let section_certify () =
   (* (a) speedup on a bench-sized proof *)
   let spec = Option.get (F.Benchmarks.find "alu2") in
   let inst = F.Benchmarks.build spec in
-  let search_budget = Sat.Solver.time_budget (4. *. !budget_seconds) in
-  let w_min =
-    match
-      C.Binary_search.minimal_width ~strategy:Strategy.best_single
-        ~budget:search_budget inst.F.Benchmarks.route
-    with
-    | Ok r -> r.C.Binary_search.w_min
-    | Error m -> failwith ("width search failed on alu2: " ^ m)
-  in
-  let width = max 1 (w_min - 1) in
+  let width = max 1 (search_w_min inst - 1) in
   let strat = Strategy.best_single in
   let csp =
     E.Csp.make (F.Conflict_graph.build inst.F.Benchmarks.route) ~k:width
@@ -1326,23 +1275,23 @@ let emission_comparison () =
     let encoded = E.Csp_encode.encode enc csp in
     let cnf = encoded.E.Csp_encode.cnf in
     let stats = E.Encoding_stats.predict enc ~k in
-    Eng.Json.Obj
+    Obs.Json.Obj
       [
-        ("vars", Eng.Json.Int (Sat.Cnf.num_vars cnf));
-        ("clauses", Eng.Json.Int (Sat.Cnf.num_clauses cnf));
-        ("lits", Eng.Json.Int (Sat.Cnf.num_lits cnf));
+        ("vars", Obs.Json.Int (Sat.Cnf.num_vars cnf));
+        ("clauses", Obs.Json.Int (Sat.Cnf.num_clauses cnf));
+        ("lits", Obs.Json.Int (Sat.Cnf.num_lits cnf));
         ( "conflict_lits_per_edge",
-          Eng.Json.Int stats.E.Encoding_stats.conflict_literals_per_edge );
+          Obs.Json.Int stats.E.Encoding_stats.conflict_literals_per_edge );
         ( "aux_vars_per_csp_var",
-          Eng.Json.Int stats.E.Encoding_stats.aux_vars_per_csp_var );
+          Obs.Json.Int stats.E.Encoding_stats.aux_vars_per_csp_var );
       ]
   in
   List.map
     (fun name ->
       let enc = encoding name in
-      Eng.Json.Obj
+      Obs.Json.Obj
         [
-          ("encoding", Eng.Json.String name);
+          ("encoding", Obs.Json.String name);
           ("flat", side (E.Encoding.flat enc));
           ("defs", side (E.Encoding.defs enc));
         ])
@@ -1351,16 +1300,16 @@ let emission_comparison () =
 let section_encode_bench () =
   let m = measure_encode () in
   print_endline
-    (Eng.Json.to_string
-       (Eng.Json.Obj
+    (Obs.Json.to_string
+       (Obs.Json.Obj
           [
-            ("vars", Eng.Json.Int m.em_vars);
-            ("clauses", Eng.Json.Int m.em_clauses);
-            ("lits", Eng.Json.Int m.em_lits);
-            ("encode_s", Eng.Json.Float m.em_encode_s);
-            ("load_s", Eng.Json.Float m.em_load_s);
-            ("words_alloc", Eng.Json.Int m.em_words_alloc);
-            ("emissions", Eng.Json.List (emission_comparison ()));
+            ("vars", Obs.Json.Int m.em_vars);
+            ("clauses", Obs.Json.Int m.em_clauses);
+            ("lits", Obs.Json.Int m.em_lits);
+            ("encode_s", Obs.Json.Float m.em_encode_s);
+            ("load_s", Obs.Json.Float m.em_load_s);
+            ("words_alloc", Obs.Json.Int m.em_words_alloc);
+            ("emissions", Obs.Json.List (emission_comparison ()));
           ]))
 
 (* ------------------------------------------------------------------ *)
@@ -1388,19 +1337,11 @@ let handicap_budget budget =
    key their widths off it. *)
 let w_min_cache : (string, int) Hashtbl.t = Hashtbl.create 4
 
-let w_min_of bench route =
+let w_min_of bench inst =
   match Hashtbl.find_opt w_min_cache bench with
   | Some w -> w
   | None ->
-      let w =
-        match
-          C.Binary_search.minimal_width ~strategy:Strategy.best_single
-            ~budget:(Sat.Solver.time_budget (4. *. !budget_seconds))
-            route
-        with
-        | Ok r -> r.C.Binary_search.w_min
-        | Error m -> failwith (Printf.sprintf "perf-gate: %s: %s" bench m)
-      in
+      let w = search_w_min inst in
       Hashtbl.add w_min_cache bench w;
       w
 
@@ -1415,7 +1356,7 @@ let perf_solve_cells () =
       let spec = Option.get (F.Benchmarks.find bench) in
       let inst = F.Benchmarks.build spec in
       let route = inst.F.Benchmarks.route in
-      let w_min = w_min_of bench route in
+      let w_min = w_min_of bench inst in
       List.map
         (fun (tag, delta) ->
           let width = max 1 (w_min + delta) in
@@ -1462,7 +1403,7 @@ let props_cells () =
       let spec = Option.get (F.Benchmarks.find bench) in
       let inst = F.Benchmarks.build spec in
       let route = inst.F.Benchmarks.route in
-      let width = max 1 (w_min_of bench route - 1) in
+      let width = max 1 (w_min_of bench inst - 1) in
       let rate () =
         let budget = handicap_budget (Sat.Solver.conflict_budget conflicts) in
         let run =

@@ -339,24 +339,19 @@ let min_width_cmd =
   let run spec strat budget =
     let inst = build_instance spec in
     match
-      C.Binary_search.minimal_width ~strategy:strat ~budget:(budget_of budget)
-        inst.F.Benchmarks.route
+      C.Incremental_width.minimal_colors ~strategy:strat
+        ~budget:(budget_of budget) inst.F.Benchmarks.graph
     with
     | Error m -> `Error (false, m)
     | Ok r ->
-        Printf.printf "minimal channel width of %s: W = %d\n" spec.F.Benchmarks.name
-          r.C.Binary_search.w_min;
-        (match r.C.Binary_search.unsat_below with
-        | Some run ->
-            Printf.printf
-              "optimality: W = %d proven unroutable by SAT (%.3fs solve)\n"
-              (r.C.Binary_search.w_min - 1)
-              run.C.Flow.timings.C.Flow.solving
-        | None ->
-            Printf.printf
-              "optimality: W = %d impossible structurally (clique bound)\n"
-              (r.C.Binary_search.w_min - 1));
-        Printf.printf "SAT queries made: %d\n" (List.length r.C.Binary_search.runs);
+        let w = r.C.Incremental_width.w_min in
+        Printf.printf "minimal channel width of %s: W = %d\n"
+          spec.F.Benchmarks.name w;
+        Printf.printf "optimality: W = %d %s\n" (w - 1)
+          (if w = r.C.Incremental_width.lower_bound then
+             "impossible structurally (clique bound)"
+           else "proven unroutable by SAT");
+        Printf.printf "SAT queries made: %d\n" r.C.Incremental_width.queries;
         `Ok ()
   in
   Cmd.v
@@ -501,9 +496,9 @@ let sweep_cmd =
   let fallback_arg =
     Arg.(value & flag
          & info [ "fallback" ]
-             ~doc:"Walk the solver ladder on retries: attempt 2 swaps the \
-                   preset for minisat, attempt 3+ runs the plain DPLL \
-                   backend. Records keep the cell's own strategy key.")
+             ~doc:"Walk the solver ladder on retries: attempt 2 and every \
+                   later attempt swap the preset for minisat. Records keep \
+                   the cell's own strategy key.")
   in
   let backtrace_arg =
     Arg.(value & flag
@@ -538,13 +533,13 @@ let sweep_cmd =
                   | Some s -> Sat.Solver.time_budget (4. *. s)
                 in
                 match
-                  C.Binary_search.minimal_width ~budget:search_budget
-                    inst.F.Benchmarks.route
+                  C.Incremental_width.minimal_colors ~budget:search_budget
+                    inst.F.Benchmarks.graph
                 with
                 | Ok r ->
                     Printf.eprintf "%-10s w_min = %d\n%!" spec.F.Benchmarks.name
-                      r.C.Binary_search.w_min;
-                    Some r.C.Binary_search.w_min
+                      r.C.Incremental_width.w_min;
+                    Some r.C.Incremental_width.w_min
                 | Error m ->
                     failwith
                       (Printf.sprintf "width search failed on %s: %s"

@@ -32,10 +32,10 @@ let () =
   let inst = F.Benchmarks.build spec in
   let w =
     match
-      C.Binary_search.minimal_width ~budget:(Sat.Solver.time_budget 120.)
-        inst.F.Benchmarks.route
+      C.Incremental_width.minimal_colors
+        ~budget:(Sat.Solver.time_budget 120.) inst.F.Benchmarks.graph
     with
-    | Ok r -> r.C.Binary_search.w_min
+    | Ok r -> r.C.Incremental_width.w_min
     | Error m -> failwith m
   in
   Printf.printf

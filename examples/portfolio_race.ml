@@ -20,8 +20,8 @@ let () =
 
   let budget = Sat.Solver.time_budget 120. in
   let w =
-    match C.Binary_search.minimal_width ~budget inst.F.Benchmarks.route with
-    | Ok r -> r.C.Binary_search.w_min
+    match C.Incremental_width.minimal_colors ~budget inst.F.Benchmarks.graph with
+    | Ok r -> r.C.Incremental_width.w_min
     | Error m -> failwith m
   in
   Printf.printf "racing at the unroutable width W = %d\n\n" (w - 1);

@@ -34,17 +34,23 @@ let () =
   Format.printf "conflict graph: %a@." G.Graph.pp graph;
 
   (* 4. minimal channel width via SAT, with an optimality proof *)
-  match C.Binary_search.minimal_width route with
+  match C.Incremental_width.minimal_colors graph with
   | Error msg -> prerr_endline ("search failed: " ^ msg)
   | Ok r ->
-      let w = r.C.Binary_search.w_min in
+      let w = r.C.Incremental_width.w_min in
       Printf.printf "\nminimal channel width: W = %d\n" w;
-      (match r.C.Binary_search.unsat_below with
-      | Some _ -> Printf.printf "W = %d proven unroutable by the SAT solver\n" (w - 1)
-      | None -> Printf.printf "W = %d impossible already by the clique bound\n" (w - 1));
+      if w = r.C.Incremental_width.lower_bound then
+        Printf.printf "W = %d impossible already by the clique bound\n" (w - 1)
+      else Printf.printf "W = %d proven unroutable by the SAT solver\n" (w - 1);
 
       (* 5. the detailed routing, verified against the architecture *)
-      let detailed = r.C.Binary_search.routing in
+      let detailed =
+        match
+          F.Detailed_route.of_coloring route ~width:w r.C.Incremental_width.coloring
+        with
+        | Ok d -> d
+        | Error _ -> failwith "minimal colouring is not a legal routing"
+      in
       print_endline "\ntrack assignment per 2-pin subnet:";
       Array.iteri
         (fun id track ->

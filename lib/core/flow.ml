@@ -71,47 +71,6 @@ let solve_csp strategy budget proof csp =
   in
   (answer, encoded, stats, to_cnf, solving)
 
-(* The DPLL backend is the retry ladder's last rung: no learnt-clause
-   database, so a cell that memouts under CDCL may still finish here. The
-   only budget DPLL understands is a decision bound, so [max_conflicts]
-   stands in for it; no proof is recorded. *)
-let solve_csp_dpll strategy budget csp =
-  let encoded, to_cnf =
-    timed (fun () ->
-        E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
-          strategy.Strategy.encoding csp)
-  in
-  let max_decisions =
-    Option.value budget.Sat.Solver.max_conflicts ~default:2_000_000
-  in
-  let result, solving =
-    timed (fun () -> Sat.Dpll.solve ~max_decisions encoded.E.Csp_encode.cnf)
-  in
-  let answer =
-    match result with
-    | Sat.Dpll.Sat model ->
-        let coloring = E.Csp_encode.decode encoded model in
-        if not (E.Csp.solution_ok csp coloring) then
-          raise (Decode_mismatch "decoded colouring is not proper")
-        else `Colorable (coloring, model)
-    | Sat.Dpll.Unsat -> `Uncolorable
-    | Sat.Dpll.Unknown -> `Timeout
-  in
-  (answer, encoded, Sat.Stats.create (), to_cnf, solving)
-
-let color_graph ?(strategy = Strategy.best_single)
-    ?(budget = Sat.Solver.no_budget) graph ~k =
-  let csp, to_graph = timed (fun () -> E.Csp.make graph ~k) in
-  let answer, _encoded, _stats, to_cnf, solving =
-    solve_csp strategy budget None csp
-  in
-  let answer =
-    match answer with
-    | `Colorable (coloring, _model) -> `Colorable coloring
-    | (`Uncolorable | `Timeout | `Memout) as a -> a
-  in
-  (answer, { to_graph; to_cnf; solving })
-
 type request = {
   strategy : Strategy.t;
   budget : Sat.Solver.budget;
@@ -119,7 +78,6 @@ type request = {
   certify : bool;
   telemetry : bool;
   trace : Obs.Trace.t option;
-  backend : [ `Cdcl | `Dpll ];
 }
 
 let default_request =
@@ -130,7 +88,6 @@ let default_request =
     certify = false;
     telemetry = false;
     trace = None;
-    backend = `Cdcl;
   }
 
 let with_strategy strategy r = { r with strategy }
@@ -139,10 +96,8 @@ let with_proof want_proof r = { r with want_proof }
 let with_certify certify r = { r with certify }
 let with_telemetry telemetry r = { r with telemetry }
 let with_trace trace r = { r with trace = Some trace }
-let with_backend backend r = { r with backend }
 
-let submit
-    { strategy; budget; want_proof; certify; telemetry; trace; backend } route
+let submit { strategy; budget; want_proof; certify; telemetry; trace } route
     ~width =
   if width < 1 then invalid_arg "Flow.submit: width < 1";
   (* an attached trace takes over the budget's event hook: the run's
@@ -159,17 +114,12 @@ let submit
   in
   ignore graph;
   let proof =
-    match backend with
-    | `Dpll -> None
-    | `Cdcl ->
-        if want_proof || certify then Some (Sat.Proof.create ()) else None
+    if want_proof || certify then Some (Sat.Proof.create ()) else None
   in
   Obs.Trace.record_opt trace Obs.Trace.Solve_begin width 0;
   let alloc0 = if telemetry then Gc.allocated_bytes () else 0. in
   let answer, encoded, stats, to_cnf, solving =
-    match backend with
-    | `Cdcl -> solve_csp strategy budget proof csp
-    | `Dpll -> solve_csp_dpll strategy budget csp
+    solve_csp strategy budget proof csp
   in
   let telemetry =
     if telemetry then
@@ -202,10 +152,9 @@ let submit
                     F.Detailed_route.pp_violation violation)))
     | `Uncolorable ->
         let certified =
+          (* [certify] implies a recorded proof *)
           if certify then
-            match proof with
-            | Some p -> Some (Result.is_ok (Sat.Drat_check.check cnf p))
-            | None -> Some false
+            Option.map (fun p -> Result.is_ok (Sat.Drat_check.check cnf p)) proof
           else None
         in
         (Unroutable, certified)

@@ -90,18 +90,11 @@ type request = {
       (** Record the run's lifecycle — a solve span plus solver events via
           {!Fpgasat_obs.Trace.sink}, which replaces any [on_event] hook
           already on the budget. *)
-  backend : [ `Cdcl | `Dpll ];
-      (** [`Dpll] runs the plain DPLL solver instead of CDCL — the last
-          rung of the sweep supervisor's fallback ladder. DPLL honours only
-          [budget.max_conflicts] (as a decision bound, default 2M) and
-          records no proof, so a certified UNSAT answer is impossible
-          ([certified = Some false] when requested); SAT answers still
-          certify via model checking. *)
 }
 
 val default_request : request
 (** {!Strategy.best_single}, no budget, no proof, no certification, no
-    telemetry, no trace, [`Cdcl]. *)
+    telemetry, no trace. *)
 
 val with_strategy : Strategy.t -> request -> request
 val with_budget : Fpgasat_sat.Solver.budget -> request -> request
@@ -109,19 +102,8 @@ val with_proof : bool -> request -> request
 val with_certify : bool -> request -> request
 val with_telemetry : bool -> request -> request
 val with_trace : Fpgasat_obs.Trace.t -> request -> request
-val with_backend : [ `Cdcl | `Dpll ] -> request -> request
 
 val submit : request -> Fpgasat_fpga.Global_route.t -> width:int -> run
 (** Decides detailed routability of a global routing with [width] tracks,
     as specified by the request. Raises [Invalid_argument] when
     [width < 1]. *)
-
-val color_graph :
-  ?strategy:Strategy.t ->
-  ?budget:Fpgasat_sat.Solver.budget ->
-  Fpgasat_graph.Graph.t ->
-  k:int ->
-  [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
-  * timings
-(** The same engine on a bare colouring problem (used by benches operating
-    directly on conflict graphs, and by the binary search). *)

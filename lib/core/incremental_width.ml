@@ -91,35 +91,46 @@ let query ?(budget = Sat.Solver.no_budget) ladder ~width =
 type search_result = {
   w_min : int;
   coloring : G.Coloring.t;
+  lower_bound : int;
   queries : int;
   stats : Sat.Stats.t;
 }
 
-let minimal_colors ?strategy ?(budget = Sat.Solver.no_budget) graph =
+let walk_down ?(budget = Sat.Solver.no_budget) ladder =
+  (* a model using fewer colours lets the walk skip widths *)
+  let rec walk w best =
+    if w < ladder.lower then
+      match best with
+      | Some coloring -> Ok (w + 1, coloring)
+      | None -> Error "internal error: no colouring recorded"
+    else
+      match query ~budget ladder ~width:w with
+      | `Uncolorable -> (
+          match best with
+          | Some coloring -> Ok (w + 1, coloring)
+          | None -> Error "DSATUR width came out uncolourable")
+      | `Timeout -> Error "budget exhausted during width search"
+      | `Memout -> Error "memory budget exhausted during width search"
+      | `Colorable coloring ->
+          let used = G.Coloring.num_colors coloring in
+          walk (min (w - 1) (used - 1)) (Some coloring)
+  in
+  walk ladder.upper None
+
+let minimal_colors ?strategy ?budget graph =
   match prepare ?strategy graph with
   | exception Invalid_argument m -> Error m
   | ladder -> (
-      (* walk downward; a model using fewer colours lets us skip widths *)
-      let rec walk w best =
-        if w < ladder.lower then
-          match best with
-          | Some coloring -> Ok (w + 1, coloring)
-          | None -> Error "internal error: no colouring recorded"
-        else
-          match query ~budget ladder ~width:w with
-          | exception Flow.Decode_mismatch _ ->
-              Error "decoded colouring failed verification"
-          | `Uncolorable -> (
-              match best with
-              | Some coloring -> Ok (w + 1, coloring)
-              | None -> Error "DSATUR width came out uncolourable")
-          | `Timeout -> Error "budget exhausted during width search"
-          | `Memout -> Error "memory budget exhausted during width search"
-          | `Colorable coloring ->
-              let used = G.Coloring.num_colors coloring in
-              walk (min (w - 1) (used - 1)) (Some coloring)
-      in
-      match walk ladder.upper None with
+      match walk_down ?budget ladder with
+      | exception Flow.Decode_mismatch _ ->
+          Error "decoded colouring failed verification"
       | Error _ as err -> err
       | Ok (w_min, coloring) ->
-          Ok { w_min; coloring; queries = ladder.queries; stats = stats ladder })
+          Ok
+            {
+              w_min;
+              coloring;
+              lower_bound = ladder.lower;
+              queries = ladder.queries;
+              stats = stats ladder;
+            })

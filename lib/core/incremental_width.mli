@@ -1,6 +1,8 @@
-(** Minimal channel width by incremental SAT.
+(** Minimal channel width by incremental SAT — the repository's one
+    minimal-width search.
 
-    Instead of one fresh CNF per width (as {!Binary_search} does), the
+    The paper's optimality argument needs width [W] shown routable and
+    [W - 1] shown unroutable. Rather than one fresh CNF per width, the
     colouring problem is encoded {e once} at the DSATUR upper bound with one
     fresh {e selector} variable per colour and clauses
     [not s_c \/ not pattern_v(c)]: assuming [s_c] switches colour [c] off for
@@ -10,15 +12,17 @@
     clause over its indexing pattern, not a single literal.
 
     This is an engineering extension beyond the paper (which re-translated
-    per configuration); the bench compares the two searches. *)
+    per configuration). A per-width answer with a DRAT certificate comes
+    from a cold {!Flow.submit} at that width. *)
 
 (** {1 The width ladder}
 
     The encode-once-query-many substrate, exposed on its own so callers
-    with their own query schedule can share it: {!minimal_colors} walks it
-    downward, and the solve server keeps one ladder {e warm} per
-    (benchmark × strategy) session, answering repeated width queries
-    without re-encoding. *)
+    with their own query schedule can share it. {!walk_down} is the one
+    downward walk: {!minimal_colors} runs it on a fresh ladder, and the
+    solve server runs it on the ladder it keeps {e warm} per
+    (benchmark × strategy) session, where it also answers repeated width
+    queries without re-encoding. *)
 
 type ladder
 (** An encoded colouring problem with its persistent solver and colour
@@ -64,9 +68,24 @@ val cnf_size : ladder -> int * int
 
 (** {1 Minimal-width search} *)
 
+val walk_down :
+  ?budget:Fpgasat_sat.Solver.budget ->
+  ladder ->
+  (int * Fpgasat_graph.Coloring.t, string) result
+(** [(w_min, colouring)]: walks the ladder downward from its upper bound.
+    After a [`Colorable] answer at [w] whose model uses [u] colours the next
+    query is at [min (w - 1) (u - 1)]; the walk stops at the first
+    [`Uncolorable] width or below the clique bound. The budget applies per
+    query; [Error] when one runs out. Raises {!Flow.Decode_mismatch} if a
+    model fails to decode into a proper colouring. *)
+
 type search_result = {
   w_min : int;
   coloring : Fpgasat_graph.Coloring.t;  (** A proper [w_min]-colouring. *)
+  lower_bound : int;
+      (** The clique lower bound. When [w_min = lower_bound], [w_min - 1]
+          is impossible structurally; otherwise the ladder refuted it by
+          SAT. *)
   queries : int;  (** SAT queries answered by the shared solver. *)
   stats : Fpgasat_sat.Stats.t;  (** Cumulative solver statistics. *)
 }
@@ -77,5 +96,5 @@ val minimal_colors :
   Fpgasat_graph.Graph.t ->
   (search_result, string) result
 (** Minimal number of colours of a conflict graph (= minimal channel width
-    of the routing it came from), walking a {!ladder} downward. The budget
+    of the routing it came from): {!prepare} then {!walk_down}. The budget
     applies per query. *)

@@ -11,11 +11,9 @@
     queues to test the supervisor itself; {!Portfolio} races strategies on
     the same pool with first-answer-wins cancellation; {!Lockfile} is the
     advisory single-writer pid lock shared by the sweep's [--out] file and
-    the solve server's cache journal; {!Json} re-exports the
-    dependency-free JSON substrate, which now lives in
+    the solve server's cache journal. The JSON codec the records use is
     [Fpgasat_obs.Json]. *)
 
-module Json = Json
 module Lockfile = Lockfile
 module Pool = Pool
 module Run_record = Run_record

@@ -1,6 +1,7 @@
 module Sat = Fpgasat_sat
 module Obs = Fpgasat_obs
 module C = Fpgasat_core
+module Json = Fpgasat_obs.Json
 
 type outcome =
   | Routable

@@ -2,12 +2,11 @@ module Sat = Fpgasat_sat
 module Obs = Fpgasat_obs
 module C = Fpgasat_core
 
-type fallback = Primary | Fallback_minisat | Fallback_dpll
+type fallback = Primary | Fallback_minisat
 
 let fallback_name = function
   | Primary -> "primary"
   | Fallback_minisat -> "minisat"
-  | Fallback_dpll -> "dpll"
 
 type job = {
   benchmark : string;
@@ -44,7 +43,6 @@ let cell ~benchmark strategy route ~width =
                   solver_name = "minisat";
                 }
                 request
-          | Fallback_dpll -> C.Flow.with_backend `Dpll request
         in
         C.Flow.submit request route ~width);
   }
@@ -155,14 +153,13 @@ let job_budget ?(attempt = 1) config =
 
 let fallback_for config ~attempt =
   if (not config.retry.fallback_presets) || attempt <= 1 then Primary
-  else if attempt = 2 then Fallback_minisat
-  else Fallback_dpll
+  else Fallback_minisat
 
 (* Runs one cell to its final record: up to [max_attempts] attempts with
-   escalating budgets (and optionally the preset ladder
-   siege → minisat → dpll), classifying every non-decisive ending through
-   {!Failure}. [wall_seconds] on the record is the total across attempts —
-   what the cell actually cost the sweep. *)
+   escalating budgets (and optionally the preset ladder siege → minisat),
+   classifying every non-decisive ending through {!Failure}.
+   [wall_seconds] on the record is the total across attempts — what the
+   cell actually cost the sweep. *)
 let supervise config job =
   let t0 = Unix.gettimeofday () in
   let max_attempts = max 1 config.retry.max_attempts in

@@ -15,7 +15,8 @@
       its backtrace — never killing the sweep;
     - {b retry with escalation}: with [retry.max_attempts > 1] a
       non-decisive cell is retried with geometrically escalated budgets
-      and, optionally, the fallback preset ladder siege → minisat → DPLL;
+      and, optionally, the fallback preset ladder: the cell's own preset,
+      then minisat;
       a cell that fails every attempt is {e quarantined}: recorded with
       [quarantined = true], skipped by future [--resume]s, counted in
       {!summary} — instead of crash-looping;
@@ -37,15 +38,14 @@
 
     Text tables over sweep results are pure views: see {!render_table}. *)
 
-type fallback = Primary | Fallback_minisat | Fallback_dpll
+type fallback = Primary | Fallback_minisat
 (** Which rung of the retry ladder an attempt runs on. [Primary] is the
     job's own strategy; [Fallback_minisat] swaps the solver preset for
-    {!Fpgasat_sat.Solver.minisat_like}; [Fallback_dpll] runs the plain DPLL
-    backend ({!Fpgasat_core.Flow.submit} of a request with
-    [backend = `Dpll]). *)
+    {!Fpgasat_sat.Solver.minisat_like}. Both rungs run the CDCL solver, so
+    every attempt honours its seconds, memory and interrupt budget. *)
 
 val fallback_name : fallback -> string
-(** ["primary"], ["minisat"], ["dpll"]. *)
+(** ["primary"], ["minisat"]. *)
 
 type job = {
   benchmark : string;
@@ -88,8 +88,9 @@ type retry = {
       (** Geometric budget growth: attempt [n] runs with [budget_seconds]
           and [max_memory_mb] scaled by [escalation^(n-1)]. *)
   fallback_presets : bool;
-      (** Walk the ladder siege → minisat → DPLL on attempts 2 and ≥3
-          instead of only re-running the primary strategy. *)
+      (** Run attempt 2 and every later attempt on the minisat preset
+          ({!Fallback_minisat}) instead of re-running the primary
+          strategy. *)
 }
 
 val no_retry : retry

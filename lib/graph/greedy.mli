@@ -1,7 +1,7 @@
 (** Greedy colouring heuristics.
 
-    These provide fast upper bounds on the chromatic number. The flow uses
-    them to bracket the binary search for the minimal channel width, and the
+    These provide fast upper bounds on the chromatic number. The
+    minimal-width search starts its downward walk at the DSATUR bound, and the
     benchmark harness uses DSATUR as the non-SAT baseline detailed router
     (one-net-at-a-time, cannot prove unroutability — the contrast the paper
     draws in its introduction). *)

@@ -17,8 +17,6 @@ type t =
   | Memout_poll of int
       (** The memory ceiling was polled; payload is the major-heap size in
           words at the poll. Only emitted when [max_memory_mb] is set. *)
-  | Simplify_round of int
-      (** The preprocessor finished the given (1-based) round. *)
   | Inprocess of int * int
       (** A bounded inprocessing pass (self-subsumption + vivification
           between restarts) finished: clauses strengthened or deleted,
@@ -28,5 +26,4 @@ let name = function
   | Restart _ -> "restart"
   | Reduce_db _ -> "reduce_db"
   | Memout_poll _ -> "memout_poll"
-  | Simplify_round _ -> "simplify_round"
   | Inprocess _ -> "inprocess"

@@ -6,7 +6,7 @@
     solvers, a reference DPLL solver ({!Dpll}) used as a cross-check oracle,
     CNF construction ({!Cnf}) and DIMACS I/O ({!Dimacs_cnf}), DRAT proof
     traces ({!Proof}) with an independent forward checker ({!Drat_check}),
-    a preprocessor ({!Simplify}), and WalkSAT local search ({!Walksat}). *)
+    and WalkSAT local search ({!Walksat}). *)
 
 module Lit = Lit
 module Clause = Clause
@@ -20,6 +20,5 @@ module Solver = Solver
 module Dpll = Dpll
 module Proof = Proof
 module Drat_check = Drat_check
-module Simplify = Simplify
 module Walksat = Walksat
 module Stats = Stats

@@ -149,24 +149,10 @@ let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false) t ~width =
           ~telemetry
       end)
 
-let min_width ?(budget = Sat.Solver.no_budget) t =
+let min_width ?budget t =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       t.served <- t.served + 1;
-      let rec walk w best =
-        if w < t.lower then Ok (w + 1)
-        else
-          match C.Incremental_width.query ~budget t.ladder ~width:w with
-          | `Uncolorable -> (
-              match best with
-              | Some _ -> Ok (w + 1)
-              | None -> Error "upper bound came out uncolourable")
-          | `Timeout -> Error "budget exhausted during width search"
-          | `Memout -> Error "memory budget exhausted during width search"
-          | `Colorable coloring ->
-              let used = G.Coloring.num_colors coloring in
-              walk (min (w - 1) (used - 1)) (Some coloring)
-      in
-      walk t.upper None)
+      C.Incremental_width.walk_down ?budget t.ladder |> Result.map fst)

@@ -60,6 +60,5 @@ val route_warm :
 
 val min_width :
   ?budget:Fpgasat_sat.Solver.budget -> t -> (int, string) result
-(** Minimal width by walking the warm ladder downward (the
-    {!Fpgasat_core.Incremental_width.minimal_colors} schedule, without
-    re-encoding). The budget applies per query. *)
+(** Minimal width by {!Fpgasat_core.Incremental_width.walk_down} on the
+    warm ladder, without re-encoding. The budget applies per query. *)

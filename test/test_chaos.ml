@@ -173,9 +173,10 @@ let flow_timeout_run width =
   }
 
 let test_retry_walks_fallback_ladder () =
-  (* primary attempts time out; the minisat rung answers. The record must be
-     decisive, show two attempts, and keep the cell's own strategy name so
-     resume keys stay stable. *)
+  (* primary attempts time out and so does the first minisat attempt; the
+     second minisat attempt answers. The record must be decisive, show
+     three attempts, and keep the cell's own strategy name so resume keys
+     stay stable. *)
   let rungs = ref [] in
   let job =
     {
@@ -186,15 +187,16 @@ let test_retry_walks_fallback_ladder () =
         (fun ~budget ~certify ~telemetry ~fallback ->
           rungs := Sweep.fallback_name fallback :: !rungs;
           match fallback with
-          | Sweep.Primary -> flow_timeout_run unsat_width
-          | Sweep.Fallback_minisat | Sweep.Fallback_dpll ->
+          | Sweep.Fallback_minisat when List.length !rungs = 3 ->
               Flow.(
                 submit
                   (default_request
                   |> with_strategy Strategy.best_single
                   |> with_budget budget |> with_certify certify
                   |> with_telemetry telemetry))
-                small_route ~width:unsat_width);
+                small_route ~width:unsat_width
+          | Sweep.Primary | Sweep.Fallback_minisat ->
+              flow_timeout_run unsat_width);
     }
   in
   let config =
@@ -202,20 +204,117 @@ let test_retry_walks_fallback_ladder () =
       no_io with
       Sweep.jobs = 1;
       retry =
-        { Sweep.max_attempts = 3; escalation = 1.5; fallback_presets = true };
+        { Sweep.max_attempts = 4; escalation = 1.5; fallback_presets = true };
     }
   in
   let r = List.hd (Sweep.run config [ job ]) in
-  Alcotest.(check (list string)) "ladder order" [ "primary"; "minisat" ]
+  Alcotest.(check (list string)) "ladder order"
+    [ "primary"; "minisat"; "minisat" ]
     (List.rev !rungs);
   Alcotest.(check bool) "fallback answered decisively" true
     (Run_record.decisive r);
-  Alcotest.(check (option int)) "attempts counted" (Some 2)
+  Alcotest.(check (option int)) "attempts counted" (Some 3)
     r.Run_record.attempts;
   Alcotest.(check string) "record keeps the cell's strategy" "ladder-strategy"
     r.Run_record.strategy;
   Alcotest.(check (option string)) "decisive cells carry no failure" None
     r.Run_record.failure
+
+(* a cell whose every attempt times out, recording the rung of each *)
+let always_timeout_job rungs =
+  {
+    Sweep.benchmark = "timeouts";
+    strategy = "timeout-strategy";
+    width = unsat_width;
+    run =
+      (fun ~budget:_ ~certify:_ ~telemetry:_ ~fallback ->
+        rungs := Sweep.fallback_name fallback :: !rungs;
+        flow_timeout_run unsat_width);
+  }
+
+let test_retry_without_fallback_stays_primary () =
+  let rungs = ref [] in
+  let config =
+    {
+      no_io with
+      Sweep.jobs = 1;
+      retry =
+        { Sweep.max_attempts = 3; escalation = 1.5; fallback_presets = false };
+    }
+  in
+  let r = List.hd (Sweep.run config [ always_timeout_job rungs ]) in
+  Alcotest.(check (list string)) "every attempt on the primary rung"
+    [ "primary"; "primary"; "primary" ]
+    (List.rev !rungs);
+  Alcotest.(check (option int)) "attempts counted" (Some 3)
+    r.Run_record.attempts;
+  Alcotest.(check bool) "quarantined as a timeout" true
+    (r.Run_record.quarantined && r.Run_record.outcome = Run_record.Timeout)
+
+let test_single_attempt_never_falls_back () =
+  (* fallback presets only apply to retries: one attempt is the primary *)
+  let rungs = ref [] in
+  let config =
+    {
+      no_io with
+      Sweep.jobs = 1;
+      retry =
+        { Sweep.max_attempts = 1; escalation = 1.5; fallback_presets = true };
+    }
+  in
+  let r = List.hd (Sweep.run config [ always_timeout_job rungs ]) in
+  Alcotest.(check (list string)) "primary only" [ "primary" ] (List.rev !rungs);
+  Alcotest.(check (option int)) "no attempts field" None r.Run_record.attempts;
+  Alcotest.(check bool) "not quarantined" false r.Run_record.quarantined
+
+let test_fallback_ladder_honours_budget () =
+  (* vda at W = 10 under muldirect without symmetry breaking is unroutable
+     and takes minutes to refute, so no rung can answer within a second or
+     two: every attempt must end at its own escalated deadline *)
+  let vda = F.Benchmarks.build (Option.get (F.Benchmarks.find "vda")) in
+  let seconds = 0.5 and escalation = 1.5 and slack = 0.5 in
+  let cell =
+    Sweep.cell ~benchmark:"vda"
+      (Result.get_ok (Strategy.of_name "muldirect"))
+      vda.F.Benchmarks.route ~width:10
+  in
+  let attempts = ref [] in
+  let job =
+    {
+      cell with
+      Sweep.run =
+        (fun ~budget ~certify ~telemetry ~fallback ->
+          let t0 = Unix.gettimeofday () in
+          let run = cell.Sweep.run ~budget ~certify ~telemetry ~fallback in
+          attempts :=
+            (Sweep.fallback_name fallback, Unix.gettimeofday () -. t0)
+            :: !attempts;
+          run);
+    }
+  in
+  let config =
+    {
+      no_io with
+      Sweep.jobs = 1;
+      budget_seconds = Some seconds;
+      retry = { Sweep.max_attempts = 3; escalation; fallback_presets = true };
+    }
+  in
+  let r = List.hd (Sweep.run config [ job ]) in
+  let attempts = List.rev !attempts in
+  Alcotest.(check (list string)) "ladder order"
+    [ "primary"; "minisat"; "minisat" ]
+    (List.map fst attempts);
+  List.iteri
+    (fun i (rung, elapsed) ->
+      let allowed = (seconds *. (escalation ** float_of_int i)) +. slack in
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d (%s) took %.2fs, allowed %.2fs" (i + 1)
+           rung elapsed allowed)
+        true (elapsed <= allowed))
+    attempts;
+  Alcotest.(check bool) "cell quarantined as a timeout" true
+    (r.Run_record.quarantined && r.Run_record.outcome = Run_record.Timeout)
 
 let crash_job counter =
   {
@@ -586,6 +685,12 @@ let () =
           Alcotest.test_case "memout recorded" `Quick test_sweep_memout_recorded;
           Alcotest.test_case "fallback ladder" `Quick
             test_retry_walks_fallback_ladder;
+          Alcotest.test_case "fallback ladder honours budget" `Quick
+            test_fallback_ladder_honours_budget;
+          Alcotest.test_case "retry without fallback stays primary" `Quick
+            test_retry_without_fallback_stays_primary;
+          Alcotest.test_case "single attempt never falls back" `Quick
+            test_single_attempt_never_falls_back;
           Alcotest.test_case "quarantine skipped on resume" `Quick
             test_quarantine_skipped_on_resume;
           Alcotest.test_case "retrying resume re-runs plain failures" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the core flow: strategies, the end-to-end Flow.submit pipeline,
-   minimal-width binary search, and report formatting. *)
+   the incremental minimal-width search, and report formatting. *)
 
 module Sat = Fpgasat_sat
 module G = Fpgasat_graph
@@ -134,76 +134,132 @@ let test_flow_rejects_bad_width () =
   Alcotest.check_raises "width 0" (Invalid_argument "Flow.submit: width < 1")
     (fun () -> ignore (Flow.submit Flow.default_request small_route ~width:0))
 
-let test_color_graph_at_upper_bound () =
-  let answer, _ = Flow.color_graph small_graph ~k:small_ub in
-  (match answer with
-  | `Colorable coloring ->
-      Alcotest.(check bool) "proper" true
-        (G.Coloring.is_proper small_graph ~k:small_ub coloring)
-  | `Uncolorable -> Alcotest.fail "upper bound must be colourable"
-  | `Timeout | `Memout -> Alcotest.fail "no budget");
-  ()
+(* --- minimal-width search --- *)
 
-(* --- binary search --- *)
-
-let test_binary_search_minimal () =
-  match C.Binary_search.minimal_width small_route with
+let search_small () =
+  match C.Incremental_width.minimal_colors small_graph with
+  | Ok r -> r
   | Error m -> Alcotest.fail m
-  | Ok r ->
-      let w = r.C.Binary_search.w_min in
-      (* w_min is routable (we hold a verified routing object) *)
-      Alcotest.(check int) "routing width" w
-        r.C.Binary_search.routing.F.Detailed_route.width;
-      (* w_min - 1 is unroutable: either a SAT refutation was recorded or
-         the clique bound covers it *)
-      (match r.C.Binary_search.unsat_below with
-      | Some run -> (
-          Alcotest.(check int) "refuted width" (w - 1) run.Flow.width;
-          match run.Flow.outcome with
-          | Flow.Unroutable -> ()
-          | Flow.Routable _ | Flow.Timeout | Flow.Memout ->
-              Alcotest.fail "not a refutation")
-      | None ->
-          Alcotest.(check bool) "structural bound" true
-            (G.Clique.lower_bound small_graph >= w));
-      (* cross-check against an independent direct query *)
-      let direct = Flow.submit Flow.default_request small_route ~width:(w - 1) in
-      if w > 1 then
-        match direct.Flow.outcome with
-        | Flow.Unroutable -> ()
-        | Flow.Routable _ -> Alcotest.fail "w_min - 1 was routable"
-        | Flow.Timeout | Flow.Memout -> Alcotest.fail "unexpected timeout"
 
-let test_binary_search_budget_error () =
+let test_min_width_minimal () =
+  let r = search_small () in
+  Min_width_check.verify ~route:small_route ~graph:small_graph r;
+  Alcotest.(check bool) "made some queries" true
+    (r.C.Incremental_width.queries >= 1)
+
+let test_min_width_budget_error () =
   let spec = Option.get (F.Benchmarks.find "C1355") in
   let inst = F.Benchmarks.build spec in
   match
-    C.Binary_search.minimal_width
+    C.Incremental_width.minimal_colors
       ~strategy:(strategy "muldirect")
-      ~budget:(Sat.Solver.conflict_budget 5) inst.F.Benchmarks.route
+      ~budget:(Sat.Solver.conflict_budget 5) inst.F.Benchmarks.graph
   with
   | Error _ -> ()
   | Ok r ->
       (* a 5-conflict budget can only succeed if every query was trivial;
          accept but sanity-check the result *)
-      Alcotest.(check bool) "w_min positive" true (r.C.Binary_search.w_min >= 1)
+      Alcotest.(check bool) "w_min positive" true (r.C.Incremental_width.w_min >= 1)
 
-(* --- incremental width --- *)
+let test_min_width_agrees_with_cold_flow () =
+  (* the ladder's w_min is routable under a fresh per-width CNF too *)
+  let r = search_small () in
+  let w = r.C.Incremental_width.w_min in
+  Alcotest.(check bool) "colouring proper" true
+    (G.Coloring.is_proper small_graph ~k:w r.C.Incremental_width.coloring);
+  let run =
+    Flow.(submit (default_request |> with_certify true)) small_route ~width:w
+  in
+  (match (run.Flow.outcome, run.Flow.certified) with
+  | Flow.Routable _, Some true -> ()
+  | _ -> Alcotest.fail "cold flow did not certify a routing at w_min");
+  Min_width_check.verify ~route:small_route ~graph:small_graph r
 
-let test_incremental_matches_binary_search () =
-  match
-    ( C.Binary_search.minimal_width small_route,
-      C.Incremental_width.minimal_colors small_graph )
-  with
-  | Ok bs, Ok inc ->
-      Alcotest.(check int) "same minimal width" bs.C.Binary_search.w_min
-        inc.C.Incremental_width.w_min;
-      Alcotest.(check bool) "colouring proper" true
-        (G.Coloring.is_proper small_graph ~k:inc.C.Incremental_width.w_min
-           inc.C.Incremental_width.coloring);
-      Alcotest.(check bool) "made some queries" true
-        (inc.C.Incremental_width.queries >= 1)
-  | Error m, _ | _, Error m -> Alcotest.fail m
+let complete_graph n =
+  G.Graph.of_edges n
+    (List.concat
+       (List.init n (fun i -> List.init (n - i - 1) (fun j -> (i, i + j + 1)))))
+
+let odd_cycle n = G.Graph.of_edges n (List.init n (fun i -> (i, (i + 1) mod n)))
+
+let minimal_colors_ok graph =
+  match C.Incremental_width.minimal_colors graph with
+  | Ok r -> r
+  | Error m -> Alcotest.fail m
+
+let test_walk_down_on_warm_ladder () =
+  (* the walk the server runs on its kept ladder: a second walk on the same
+     (warm) solver answers the same w_min, and a fresh search agrees *)
+  let ladder = C.Incremental_width.prepare small_graph in
+  let walk () =
+    match C.Incremental_width.walk_down ladder with
+    | Ok (w, coloring) ->
+        Alcotest.(check bool) "colouring proper" true
+          (G.Coloring.is_proper small_graph ~k:w coloring);
+        w
+    | Error m -> Alcotest.fail m
+  in
+  let first = walk () in
+  let after_first = C.Incremental_width.queries ladder in
+  let second = walk () in
+  Alcotest.(check int) "warm walk repeats its answer" first second;
+  Alcotest.(check bool) "second walk queried again" true
+    (C.Incremental_width.queries ladder > after_first);
+  let lower, upper = C.Incremental_width.bounds ladder in
+  Alcotest.(check bool) "w_min within bounds" true
+    (lower <= first && first <= upper);
+  let r = search_small () in
+  Alcotest.(check int) "fresh search agrees" r.C.Incremental_width.w_min first;
+  Alcotest.(check int) "fresh search makes the same queries" after_first
+    r.C.Incremental_width.queries
+
+let test_min_width_clique_tight () =
+  (* K4: clique bound = DSATUR bound = 4, so one query settles it and
+     W - 1 is impossible structurally *)
+  let k4 = complete_graph 4 in
+  let r = minimal_colors_ok k4 in
+  Alcotest.(check int) "w_min" 4 r.C.Incremental_width.w_min;
+  Alcotest.(check int) "lower bound" 4 r.C.Incremental_width.lower_bound;
+  Alcotest.(check int) "one query" 1 r.C.Incremental_width.queries;
+  Alcotest.(check bool) "proper" true
+    (G.Coloring.is_proper k4 ~k:4 r.C.Incremental_width.coloring)
+
+let test_min_width_odd_cycle_refuted_by_sat () =
+  (* C5: clique bound 2, chromatic number 3, so W - 1 = 2 must be refuted
+     by a SAT query rather than by the clique bound *)
+  let c5 = odd_cycle 5 in
+  let r = minimal_colors_ok c5 in
+  Alcotest.(check int) "w_min" 3 r.C.Incremental_width.w_min;
+  Alcotest.(check int) "lower bound" 2 r.C.Incremental_width.lower_bound;
+  Alcotest.(check bool) "W - 1 was queried" true
+    (r.C.Incremental_width.queries >= 2);
+  Alcotest.(check bool) "proper" true
+    (G.Coloring.is_proper c5 ~k:3 r.C.Incremental_width.coloring)
+
+let test_min_width_edgeless () =
+  let g = G.Graph.create 6 in
+  let r = minimal_colors_ok g in
+  Alcotest.(check int) "one colour" 1 r.C.Incremental_width.w_min;
+  Alcotest.(check int) "lower bound" 1 r.C.Incremental_width.lower_bound;
+  Alcotest.(check bool) "proper" true
+    (G.Coloring.is_proper g ~k:1 r.C.Incremental_width.coloring)
+
+let test_query_rejects_width_zero () =
+  let ladder = C.Incremental_width.prepare small_graph in
+  Alcotest.check_raises "width 0"
+    (Invalid_argument "Incremental_width.query: width < 1") (fun () ->
+      ignore (C.Incremental_width.query ladder ~width:0))
+
+let test_query_above_upper_bound () =
+  (* widths above the ladder's DSATUR bound are answered at the bound *)
+  let ladder = C.Incremental_width.prepare small_graph in
+  let _, upper = C.Incremental_width.bounds ladder in
+  match C.Incremental_width.query ladder ~width:(upper + 5) with
+  | `Colorable coloring ->
+      Alcotest.(check bool) "fits the upper bound" true
+        (G.Coloring.is_proper small_graph ~k:upper coloring)
+  | `Uncolorable | `Timeout | `Memout ->
+      Alcotest.fail "the DSATUR bound is always colourable"
 
 let test_incremental_other_encodings () =
   List.iter
@@ -294,19 +350,29 @@ let () =
           Alcotest.test_case "all encodings agree" `Slow test_flow_all_encodings_agree;
           Alcotest.test_case "budget timeout" `Quick test_flow_budget_timeout;
           Alcotest.test_case "bad width rejected" `Quick test_flow_rejects_bad_width;
-          Alcotest.test_case "color_graph" `Quick test_color_graph_at_upper_bound;
         ] );
-      ( "binary-search",
+      ( "min-width",
         [
-          Alcotest.test_case "finds minimal width" `Quick test_binary_search_minimal;
-          Alcotest.test_case "budget error" `Quick test_binary_search_budget_error;
+          Alcotest.test_case "finds minimal width" `Quick test_min_width_minimal;
+          Alcotest.test_case "budget error" `Quick test_min_width_budget_error;
+          Alcotest.test_case "clique-tight graph" `Quick
+            test_min_width_clique_tight;
+          Alcotest.test_case "odd cycle refuted by SAT" `Quick
+            test_min_width_odd_cycle_refuted_by_sat;
+          Alcotest.test_case "edgeless graph" `Quick test_min_width_edgeless;
         ] );
       ( "incremental",
         [
           Alcotest.test_case "assumptions basic" `Quick test_solver_assumptions_basic;
-          Alcotest.test_case "matches binary search" `Quick
-            test_incremental_matches_binary_search;
+          Alcotest.test_case "agrees with cold flow" `Quick
+            test_min_width_agrees_with_cold_flow;
           Alcotest.test_case "other encodings" `Quick test_incremental_other_encodings;
+          Alcotest.test_case "walk_down on a warm ladder" `Quick
+            test_walk_down_on_warm_ladder;
+          Alcotest.test_case "query rejects width 0" `Quick
+            test_query_rejects_width_zero;
+          Alcotest.test_case "query above upper bound" `Quick
+            test_query_above_upper_bound;
         ] );
       ( "report",
         [

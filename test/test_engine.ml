@@ -8,7 +8,7 @@ module E = Fpgasat_encodings
 module F = Fpgasat_fpga
 module C = Fpgasat_core
 module Eng = Fpgasat_engine
-module Json = Eng.Json
+module Json = Fpgasat_obs.Json
 module Pool = Eng.Pool
 module Run_record = Eng.Run_record
 module Sweep = Eng.Sweep

@@ -19,6 +19,16 @@ let too_large = F.Benchmarks.build (Option.get (F.Benchmarks.find "too_large"))
 
 let budget = Sat.Solver.time_budget 60.
 
+(* the minimal-width search on a benchmark, with the independent checks of
+   {!Min_width_check} applied to its answer *)
+let checked_w_min (inst : F.Benchmarks.instance) =
+  match C.Incremental_width.minimal_colors ~budget inst.F.Benchmarks.graph with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+      Min_width_check.verify ~budget ~route:inst.F.Benchmarks.route
+        ~graph:inst.F.Benchmarks.graph r;
+      r.C.Incremental_width.w_min
+
 let test_benchmark_instances_consistent () =
   List.iter
     (fun inst ->
@@ -29,53 +39,36 @@ let test_benchmark_instances_consistent () =
     [ alu2; too_large ]
 
 let test_full_flow_on_alu2 () =
-  match C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let w = r.C.Binary_search.w_min in
-      Alcotest.(check bool) "w_min >= congestion" true
-        (w >= alu2.F.Benchmarks.max_congestion);
-      (* the detailed routing is verified against the FPGA model *)
-      let d = r.C.Binary_search.routing in
-      (match
-         F.Detailed_route.verify alu2.F.Benchmarks.route ~width:w
-           d.F.Detailed_route.tracks
-       with
-      | Ok () -> ()
-      | Error v ->
-          Alcotest.fail
-            (Format.asprintf "invalid routing: %a" F.Detailed_route.pp_violation v));
-      (* and the width below is refuted by an independent strategy *)
-      let run =
-        Flow.(
-          submit
-            (default_request
-            |> with_strategy (strategy "log@minisat")
-            |> with_budget budget))
-          alu2.F.Benchmarks.route ~width:(w - 1)
-      in
-      (match run.Flow.outcome with
-      | Flow.Unroutable -> ()
-      | Flow.Routable _ -> Alcotest.fail "log found a routing below w_min"
-      | Flow.Timeout | Flow.Memout -> Alcotest.fail "log timed out on alu2")
+  let w = checked_w_min alu2 in
+  Alcotest.(check bool) "w_min >= congestion" true
+    (w >= alu2.F.Benchmarks.max_congestion);
+  (* and the width below is refuted by an independent strategy *)
+  let run =
+    Flow.(
+      submit
+        (default_request
+        |> with_strategy (strategy "log@minisat")
+        |> with_budget budget))
+      alu2.F.Benchmarks.route ~width:(w - 1)
+  in
+  match run.Flow.outcome with
+  | Flow.Unroutable -> ()
+  | Flow.Routable _ -> Alcotest.fail "log found a routing below w_min"
+  | Flow.Timeout | Flow.Memout -> Alcotest.fail "log timed out on alu2"
 
 let test_unsat_instance_has_drat_trace () =
-  match C.Binary_search.minimal_width ~budget too_large.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let w = r.C.Binary_search.w_min in
-      if w > G.Clique.lower_bound too_large.F.Benchmarks.graph then begin
-        let run =
-          Flow.(
-            submit (default_request |> with_proof true |> with_budget budget))
-            too_large.F.Benchmarks.route ~width:(w - 1)
-        in
-        match (run.Flow.outcome, run.Flow.proof) with
-        | Flow.Unroutable, Some proof ->
-            Alcotest.(check bool) "refutation trace complete" true
-              (Sat.Proof.ends_with_empty proof)
-        | _ -> Alcotest.fail "expected a proved refutation"
-      end
+  let w = checked_w_min too_large in
+  if w > G.Clique.lower_bound too_large.F.Benchmarks.graph then begin
+    let run =
+      Flow.(submit (default_request |> with_proof true |> with_budget budget))
+        too_large.F.Benchmarks.route ~width:(w - 1)
+    in
+    match (run.Flow.outcome, run.Flow.proof) with
+    | Flow.Unroutable, Some proof ->
+        Alcotest.(check bool) "refutation trace complete" true
+          (Sat.Proof.ends_with_empty proof)
+    | _ -> Alcotest.fail "expected a proved refutation"
+  end
 
 let test_interchange_formats () =
   (* the paper's tool flow materialises the colouring problem as DIMACS .col
@@ -107,45 +100,42 @@ let test_interchange_formats () =
 
 let test_strategies_consistent_on_alu2 () =
   (* several distinct strategies must agree at w_min and w_min - 1 *)
-  match C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let w = r.C.Binary_search.w_min in
-      let strategies =
-        [
-          "muldirect/b1"; "ITE-log/s1"; "direct-3+muldirect/s1@minisat";
-          "ITE-linear-2+direct/b1";
-        ]
+  let w = checked_w_min alu2 in
+  let strategies =
+    [
+      "muldirect/b1"; "ITE-log/s1"; "direct-3+muldirect/s1@minisat";
+      "ITE-linear-2+direct/b1";
+    ]
+  in
+  List.iter
+    (fun sname ->
+      let sat_run =
+        Flow.(
+          submit
+            (default_request
+            |> with_strategy (strategy sname)
+            |> with_budget budget))
+          alu2.F.Benchmarks.route ~width:w
       in
-      List.iter
-        (fun sname ->
-          let sat_run =
-            Flow.(
-              submit
-                (default_request
-                |> with_strategy (strategy sname)
-                |> with_budget budget))
-              alu2.F.Benchmarks.route ~width:w
-          in
-          (match sat_run.Flow.outcome with
-          | Flow.Routable _ -> ()
-          | Flow.Unroutable -> Alcotest.fail (sname ^ ": w_min unroutable?")
-          | Flow.Timeout | Flow.Memout ->
-              Alcotest.fail (sname ^ ": timeout at w_min"));
-          let unsat_run =
-            Flow.(
-              submit
-                (default_request
-                |> with_strategy (strategy sname)
-                |> with_budget budget))
-              alu2.F.Benchmarks.route ~width:(w - 1)
-          in
-          match unsat_run.Flow.outcome with
-          | Flow.Unroutable -> ()
-          | Flow.Routable _ -> Alcotest.fail (sname ^ ": found impossible routing")
-          | Flow.Timeout | Flow.Memout ->
-              Alcotest.fail (sname ^ ": timeout below w_min"))
-        strategies
+      (match sat_run.Flow.outcome with
+      | Flow.Routable _ -> ()
+      | Flow.Unroutable -> Alcotest.fail (sname ^ ": w_min unroutable?")
+      | Flow.Timeout | Flow.Memout ->
+          Alcotest.fail (sname ^ ": timeout at w_min"));
+      let unsat_run =
+        Flow.(
+          submit
+            (default_request
+            |> with_strategy (strategy sname)
+            |> with_budget budget))
+          alu2.F.Benchmarks.route ~width:(w - 1)
+      in
+      match unsat_run.Flow.outcome with
+      | Flow.Unroutable -> ()
+      | Flow.Routable _ -> Alcotest.fail (sname ^ ": found impossible routing")
+      | Flow.Timeout | Flow.Memout ->
+          Alcotest.fail (sname ^ ": timeout below w_min"))
+    strategies
 
 let test_portfolio_on_benchmark () =
   let module P = Fpgasat_engine.Portfolio in
@@ -168,50 +158,45 @@ let test_drat_check_validates_flow_proof () =
   (* independently re-derive the solver's unroutability proof for alu2 via
      reverse unit propagation — the strongest end-to-end correctness check
      in the repository *)
-  match C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let w = r.C.Binary_search.w_min in
-      let graph = alu2.F.Benchmarks.graph in
-      let csp = E.Csp.make graph ~k:(w - 1) in
-      let encoded =
-        E.Csp_encode.encode ~symmetry:E.Symmetry.S1
-          (match E.Encoding.of_name "ITE-linear-2+muldirect" with
-          | Ok e -> e
-          | Error m -> Alcotest.fail m)
-          csp
-      in
-      let proof = Sat.Proof.create () in
-      (match Sat.Solver.solve ~proof encoded.E.Csp_encode.cnf with
-      | Sat.Solver.Unsat, _ -> ()
-      | _ -> Alcotest.fail "expected UNSAT");
-      (match Sat.Drat_check.check encoded.E.Csp_encode.cnf proof with
-      | Ok _ -> ()
-      | Error e ->
-          Alcotest.fail (Format.asprintf "%a" Sat.Drat_check.pp_error e))
+  let w = checked_w_min alu2 in
+  let graph = alu2.F.Benchmarks.graph in
+  let csp = E.Csp.make graph ~k:(w - 1) in
+  let encoded =
+    E.Csp_encode.encode ~symmetry:E.Symmetry.S1
+      (match E.Encoding.of_name "ITE-linear-2+muldirect" with
+      | Ok e -> e
+      | Error m -> Alcotest.fail m)
+      csp
+  in
+  let proof = Sat.Proof.create () in
+  (match Sat.Solver.solve ~proof encoded.E.Csp_encode.cnf with
+  | Sat.Solver.Unsat, _ -> ()
+  | _ -> Alcotest.fail "expected UNSAT");
+  (match Sat.Drat_check.check encoded.E.Csp_encode.cnf proof with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.fail (Format.asprintf "%a" Sat.Drat_check.pp_error e))
 
 let test_incremental_on_benchmark () =
-  match
-    ( C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route,
-      C.Incremental_width.minimal_colors ~budget alu2.F.Benchmarks.graph )
-  with
-  | Ok bs, Ok inc ->
-      Alcotest.(check int) "agree on w_min" bs.C.Binary_search.w_min
-        inc.C.Incremental_width.w_min
-  | Error m, _ | _, Error m -> Alcotest.fail m
+  (* the ladder's w_min agrees with a fresh per-width CNF at w_min *)
+  let w = checked_w_min alu2 in
+  let run =
+    Flow.(submit (default_request |> with_certify true |> with_budget budget))
+      alu2.F.Benchmarks.route ~width:w
+  in
+  match (run.Flow.outcome, run.Flow.certified) with
+  | Flow.Routable _, Some true -> ()
+  | _ -> Alcotest.fail "cold flow did not certify a routing at w_min"
 
 let test_exact_coloring_agrees_on_benchmark () =
   (* the CSP-search baseline agrees with the SAT flow on alu2's w_min *)
-  match C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r -> (
-      let w = r.C.Binary_search.w_min in
-      match G.Exact_coloring.k_colorable alu2.F.Benchmarks.graph ~k:w with
-      | G.Exact_coloring.Colorable c ->
-          Alcotest.(check bool) "proper" true
-            (G.Coloring.is_proper alu2.F.Benchmarks.graph ~k:w c)
-      | G.Exact_coloring.Uncolorable -> Alcotest.fail "B&B contradicts SAT"
-      | G.Exact_coloring.Exhausted -> ()) (* acceptable: budgeted *)
+  let w = checked_w_min alu2 in
+  match G.Exact_coloring.k_colorable alu2.F.Benchmarks.graph ~k:w with
+  | G.Exact_coloring.Colorable c ->
+      Alcotest.(check bool) "proper" true
+        (G.Coloring.is_proper alu2.F.Benchmarks.graph ~k:w c)
+  | G.Exact_coloring.Uncolorable -> Alcotest.fail "B&B contradicts SAT"
+  | G.Exact_coloring.Exhausted -> () (* acceptable: budgeted *)
 
 let test_serial_roundtrip_preserves_verdict () =
   (* write the alu2 netlist + routes to disk, read them back, and check the
@@ -239,12 +224,9 @@ let test_serial_roundtrip_preserves_verdict () =
 let test_greedy_vs_sat_optimality () =
   (* DSATUR (the one-net-at-a-time style baseline) may need more tracks than
      the SAT flow's proven optimum — never fewer *)
-  match C.Binary_search.minimal_width ~budget alu2.F.Benchmarks.route with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-      let dsatur_width = G.Greedy.upper_bound alu2.F.Benchmarks.graph in
-      Alcotest.(check bool) "sat optimum <= dsatur" true
-        (r.C.Binary_search.w_min <= dsatur_width)
+  let w = checked_w_min alu2 in
+  let dsatur_width = G.Greedy.upper_bound alu2.F.Benchmarks.graph in
+  Alcotest.(check bool) "sat optimum <= dsatur" true (w <= dsatur_width)
 
 let () =
   Alcotest.run "integration"

@@ -57,6 +57,38 @@ let test_trace_records_in_order () =
         (e1.Trace.ts <= e2.Trace.ts && e2.Trace.ts <= e3.Trace.ts)
   | _ -> Alcotest.fail "expected 3 events")
 
+let test_trace_every_kind_roundtrips () =
+  (* the ring stores kinds as small integer codes: every kind must come
+     back as itself, under a name of its own *)
+  let kinds =
+    Trace.
+      [
+        Solve_begin;
+        Solve_end;
+        Restart;
+        Reduce_db;
+        Memout_poll;
+        Retry;
+        Quarantine;
+        Inprocess;
+      ]
+  in
+  let t = Trace.create ~capacity:16 () in
+  List.iteri (fun i k -> Trace.record t k i (-i)) kinds;
+  let evs = Trace.events t in
+  Alcotest.(check (list string)) "kinds read back"
+    (List.map Trace.kind_name kinds)
+    (List.map (fun e -> Trace.kind_name e.Trace.kind) evs);
+  List.iteri
+    (fun i e ->
+      Alcotest.(check bool) (Printf.sprintf "event %d kind" i) true
+        (e.Trace.kind = List.nth kinds i);
+      Alcotest.(check int) (Printf.sprintf "event %d a" i) i e.Trace.a;
+      Alcotest.(check int) (Printf.sprintf "event %d b" i) (-i) e.Trace.b)
+    evs;
+  Alcotest.(check int) "names distinct" (List.length kinds)
+    (List.length (List.sort_uniq compare (List.map Trace.kind_name kinds)))
+
 let test_trace_ring_wraps () =
   let t = Trace.create ~capacity:8 () in
   for i = 1 to 20 do
@@ -77,7 +109,7 @@ let test_trace_concurrent_recording () =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             for i = 1 to 100 do
-              Trace.record t Trace.Simplify_round ((d * 1000) + i) 0
+              Trace.record t Trace.Retry ((d * 1000) + i) 0
             done))
   in
   List.iter Domain.join domains;
@@ -141,7 +173,7 @@ let test_sink_maps_solver_events () =
   sink (Sat.Event.Restart 3);
   sink (Sat.Event.Reduce_db (200, 80));
   sink (Sat.Event.Memout_poll 12345);
-  sink (Sat.Event.Simplify_round 2);
+  sink (Sat.Event.Inprocess (5, 9));
   let kinds = List.map (fun e -> (e.Trace.kind, e.Trace.a, e.Trace.b)) (Trace.events t) in
   Alcotest.(check bool) "mapping" true
     (kinds
@@ -149,7 +181,7 @@ let test_sink_maps_solver_events () =
         (Trace.Restart, 3, 0);
         (Trace.Reduce_db, 200, 80);
         (Trace.Memout_poll, 12345, 0);
-        (Trace.Simplify_round, 2, 0);
+        (Trace.Inprocess, 5, 9);
       ])
 
 let json_mem key = function
@@ -415,6 +447,8 @@ let () =
           Alcotest.test_case "capacity rounds up" `Quick
             test_trace_capacity_rounds_up;
           Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
+          Alcotest.test_case "every kind round-trips" `Quick
+            test_trace_every_kind_roundtrips;
           Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
           Alcotest.test_case "concurrent recording" `Quick
             test_trace_concurrent_recording;

@@ -1,5 +1,5 @@
-(* Tests for the SAT extras: the DRAT forward checker, the CNF
-   preprocessor, and WalkSAT — each cross-checked against the CDCL solver
+(* Tests for the SAT extras: the DRAT forward checker, incremental
+   assumptions, and WalkSAT — each cross-checked against the CDCL solver
    and brute force on random formulas. *)
 
 module Lit = Fpgasat_sat.Lit
@@ -7,7 +7,6 @@ module Cnf = Fpgasat_sat.Cnf
 module Solver = Fpgasat_sat.Solver
 module Proof = Fpgasat_sat.Proof
 module Drat = Fpgasat_sat.Drat_check
-module Simplify = Fpgasat_sat.Simplify
 module Walksat = Fpgasat_sat.Walksat
 
 let cnf_of nvars clauses =
@@ -216,74 +215,6 @@ let test_restart_limit_clamps () =
     prev := l
   done
 
-(* --- Simplify --- *)
-
-let test_simplify_units () =
-  let cnf = cnf_of 3 [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "not unsat" false r.Simplify.unsat;
-  Alcotest.(check int) "all clauses gone" 0 (Cnf.num_clauses r.Simplify.cnf);
-  Alcotest.(check (list (pair int bool)))
-    "forced chain"
-    [ (0, true); (1, true); (2, true) ]
-    r.Simplify.forced
-
-let test_simplify_detects_unsat () =
-  let cnf = cnf_of 2 [ [ 1 ]; [ -1; 2 ]; [ -2 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "unsat found" true r.Simplify.unsat
-
-let test_simplify_pure_literals () =
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ 1; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "pure 1 satisfies all" true
-    (Cnf.num_clauses r.Simplify.cnf = 0);
-  Alcotest.(check bool) "recorded as forced" true
-    (List.mem (0, true) r.Simplify.forced)
-
-let test_simplify_subsumption () =
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ 1; 2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "subsumed or fewer clauses" true
-    (Cnf.num_clauses r.Simplify.cnf <= 1)
-
-let test_simplify_self_subsumption () =
-  (* (1 | 2) and (-1 | 2 | 3): self-subsumption strengthens the second to
-     (2 | 3) *)
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ -1; 2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "strengthened" true (r.Simplify.stats.Simplify.strengthened >= 1)
-
-let prop_simplify_preserves_answer =
-  QCheck2.Test.make ~count:500 ~name:"preprocessing preserves satisfiability"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let expected = brute_force cnf in
-      let result, _, _ = Simplify.solve cnf in
-      match result with
-      | Solver.Sat model -> expected && Solver.check_model cnf model
-      | Solver.Unsat -> not expected
-      | Solver.Unknown | Solver.Memout -> false)
-
-let prop_simplify_models_extend =
-  QCheck2.Test.make ~count:500 ~name:"extended models satisfy the original"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let r = Simplify.simplify cnf in
-      if r.Simplify.unsat then not (brute_force cnf)
-      else
-        match Solver.solve r.Simplify.cnf with
-        | Solver.Sat m, _ -> Solver.check_model cnf (Simplify.extend_model r m)
-        | Solver.Unsat, _ -> not (brute_force cnf)
-        | (Solver.Unknown | Solver.Memout), _ -> false)
-
-let prop_simplify_never_grows =
-  QCheck2.Test.make ~count:300 ~name:"preprocessing never adds clauses"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let r = Simplify.simplify cnf in
-      r.Simplify.unsat || Cnf.num_clauses r.Simplify.cnf <= Cnf.num_clauses cnf)
-
 (* --- incremental solving with assumptions --- *)
 
 let gen_assumptions nvars =
@@ -463,18 +394,6 @@ let () =
       ( "restart-limit",
         [ Alcotest.test_case "geometric clamps to max_int" `Quick
             test_restart_limit_clamps ] );
-      ( "simplify",
-        Alcotest.test_case "unit chain" `Quick test_simplify_units
-        :: Alcotest.test_case "detects unsat" `Quick test_simplify_detects_unsat
-        :: Alcotest.test_case "pure literals" `Quick test_simplify_pure_literals
-        :: Alcotest.test_case "subsumption" `Quick test_simplify_subsumption
-        :: Alcotest.test_case "self-subsumption" `Quick test_simplify_self_subsumption
-        :: qtests
-             [
-               prop_simplify_preserves_answer;
-               prop_simplify_models_extend;
-               prop_simplify_never_grows;
-             ] );
       ( "assumptions",
         Alcotest.test_case "assumption levels raise max_level" `Quick
           test_assumption_levels_raise_max_level

@@ -684,15 +684,38 @@ let test_warm_min_width_agrees_with_search () =
     | Ok w -> w
     | Error m -> Alcotest.fail m
   in
+  (* a fresh ladder under another strategy, its answer checked against a
+     cold certified refutation of W - 1 *)
   match
-    C.Binary_search.minimal_width
+    C.Incremental_width.minimal_colors
       ~budget:(Sat.Solver.time_budget 60.)
-      alu2.F.Benchmarks.route
+      alu2.F.Benchmarks.graph
   with
   | Ok r ->
-      Alcotest.(check int) "warm min_width = binary search w_min"
-        r.C.Binary_search.w_min warm
+      Min_width_check.verify ~route:alu2.F.Benchmarks.route
+        ~graph:alu2.F.Benchmarks.graph r;
+      Alcotest.(check int) "warm min_width = searched w_min"
+        r.C.Incremental_width.w_min warm
   | Error m -> Alcotest.fail m
+
+let test_warm_min_width_repeats () =
+  (* every min_width call is one served request, and a repeat on the warm
+     ladder gives the same answer *)
+  let session =
+    Srv.Session.create ~benchmark:"alu2" C.Strategy.best_single alu2
+  in
+  let ask () =
+    match Srv.Session.min_width session with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let before = Srv.Session.served session in
+  let first = ask () in
+  let second = ask () in
+  Alcotest.(check int) "alu2 minimal width" 6 first;
+  Alcotest.(check int) "repeat agrees" first second;
+  Alcotest.(check int) "two requests served" (before + 2)
+    (Srv.Session.served session)
 
 (* ---------- the server over a real socket ---------- *)
 
@@ -1345,6 +1368,8 @@ let () =
             test_warm_agrees_with_cold;
           Alcotest.test_case "warm min_width agrees with search" `Slow
             test_warm_min_width_agrees_with_search;
+          Alcotest.test_case "warm min_width repeats" `Slow
+            test_warm_min_width_repeats;
         ] );
       ( "server",
         [
