@@ -1,15 +1,23 @@
 (* Watched-literal forward checker for DRAT traces.
 
    Clauses live in one flat literal arena (the same layout idea as [Cnf]):
-   per-clause offset/length indexes, a liveness flag, and two watched
-   literals kept in the first two arena slots of each clause. Propagation is
-   incremental: facts derived at the top level go onto a persistent trail
-   that survives across proof steps, and each RUP query only assumes the
-   candidate clause's negation on top of that trail and undoes exactly its
-   own assignments. Deletions unwatch eagerly — O(the two watch lists) —
-   and full occurrence lists (maintained per literal, compacted lazily)
-   serve the RAT fallback, which makes the checker decide DRAT rather than
-   just RUP. *)
+   per-clause offset/length arrays, a liveness flag, and two watched
+   literals kept in the first two arena slots of each clause. Watcher lists
+   are the solver's packed (blocker, id) lists ([Watch]), and [propagate]
+   has the solver's loop shape: a visit whose blocker is true touches no
+   clause, a binary clause is answered from its watcher alone (the blocker
+   is the other literal, the id carries a tag bit), and only longer clauses
+   are dereferenced to find a replacement watch. Nothing on that path
+   allocates.
+
+   Propagation is incremental: facts derived at the top level go onto a
+   persistent trail that survives across proof steps, and each RUP query
+   only assumes the candidate clause's negation on top of that trail and
+   undoes exactly its own assignments. Deletions find their clause through
+   a hashed index keyed by the clause's literal set and unwatch eagerly —
+   O(the two watch lists) — and full occurrence lists (maintained per
+   literal, compacted lazily) serve the RAT fallback, which makes the
+   checker decide DRAT rather than just RUP. *)
 
 type stats = {
   mutable additions : int;
@@ -18,6 +26,8 @@ type stats = {
   mutable deletions : int;
   mutable ignored_deletions : int;
   mutable propagations : int;
+  mutable visits : int;
+  mutable derefs : int;
 }
 
 let fresh_stats () =
@@ -28,13 +38,16 @@ let fresh_stats () =
     deletions = 0;
     ignored_deletions = 0;
     propagations = 0;
+    visits = 0;
+    derefs = 0;
   }
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "additions=%d (rup %d, rat %d) deletions=%d (ignored %d) propagations=%d"
+    "additions=%d (rup %d, rat %d) deletions=%d (ignored %d) propagations=%d \
+     visits=%d derefs=%d"
     s.additions s.rup_steps s.rat_steps s.deletions s.ignored_deletions
-    s.propagations
+    s.propagations s.visits s.derefs
 
 type error =
   | Bad_step of { step_index : int; reason : string }
@@ -50,24 +63,39 @@ let pp_error fmt = function
 type checker = {
   mutable nvars : int;
   mutable assignment : int array; (* -1 false, 0 undef, 1 true; by var *)
-  (* clause arena *)
+  (* clause arena; per-clause arrays are indexed by clause id *)
   mutable arena : int array;
   mutable fill : int;
-  offs : int Vec.t; (* clause id -> arena offset *)
-  lens : int Vec.t;
-  live : bool Vec.t;
+  mutable nclauses : int;
+  mutable offs : int array;
+  mutable lens : int array;
+  mutable live : bool array;
   (* indexed by literal: watch lists fire when the literal becomes true
      (so [watches.(l)] holds clauses watching [negate l], as in [Solver]);
      [occs.(l)] holds every clause containing [l], for the RAT fallback *)
-  mutable watches : int Vec.t array;
+  mutable watches : Watch.t array;
   mutable occs : int Vec.t array;
   (* persistent top-level trail; entries above a RUP query's mark are
-     temporary and undone when the query finishes *)
-  trail : int Vec.t;
+     temporary and undone when the query finishes. Each variable is on it
+     at most once, so [nvars] slots suffice. *)
+  mutable trail : int array;
+  mutable trail_size : int;
   mutable qhead : int;
   mutable contradiction : bool; (* top-level conflict: UNSAT established *)
-  (* sorted-deduped literal list -> live clause ids, for deletions *)
-  index : (Lit.t list, int list ref) Hashtbl.t;
+  (* deletion index: clause ids chained per bucket of their literal-set
+     hash, newest first; [next] links a chain, -1 ends it *)
+  mutable hashes : int array;
+  mutable distinct : int array; (* distinct literals per clause *)
+  mutable next : int array;
+  mutable buckets : int array;
+  mutable indexed : int;
+  (* literal stamps: [stamps.(l) = stamp] marks [l] as a member of the set
+     being hashed or compared; [key_hash]/[key_size] describe that set *)
+  mutable stamps : int array;
+  mutable stamp : int;
+  mutable key_hash : int;
+  mutable key_size : int;
+  mutable resolvent : int array; (* RAT scratch buffer *)
   stats : stats;
 }
 
@@ -78,25 +106,43 @@ let create nvars =
     assignment = Array.make nvars 0;
     arena = Array.make 256 0;
     fill = 0;
-    offs = Vec.create ~dummy:0 ();
-    lens = Vec.create ~dummy:0 ();
-    live = Vec.create ~dummy:false ();
-    watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
+    nclauses = 0;
+    offs = Array.make 64 0;
+    lens = Array.make 64 0;
+    live = Array.make 64 false;
+    watches = Array.init (2 * nvars) (fun _ -> Watch.create ());
     occs = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
-    trail = Vec.create ~dummy:0 ();
+    trail = Array.make nvars 0;
+    trail_size = 0;
     qhead = 0;
     contradiction = false;
-    index = Hashtbl.create 64;
+    hashes = Array.make 64 0;
+    distinct = Array.make 64 0;
+    next = Array.make 64 (-1);
+    buckets = Array.make 64 (-1);
+    indexed = 0;
+    stamps = Array.make (2 * nvars) 0;
+    stamp = 0;
+    key_hash = 0;
+    key_size = 0;
+    resolvent = Array.make 16 0;
     stats = fresh_stats ();
   }
+
+(* [a] copied into a fresh array of length [n >= Array.length a], the new
+   tail filled with [x] *)
+let extend a n x =
+  let b = Array.make n x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let grow st v =
   if v >= st.nvars then begin
     let n = max (v + 1) (2 * st.nvars) in
-    let a = Array.make n 0 in
-    Array.blit st.assignment 0 a 0 st.nvars;
-    st.assignment <- a;
-    let w = Array.init (2 * n) (fun _ -> Vec.create ~dummy:0 ()) in
+    st.assignment <- extend st.assignment n 0;
+    st.trail <- extend st.trail n 0;
+    st.stamps <- extend st.stamps (2 * n) 0;
+    let w = Array.init (2 * n) (fun _ -> Watch.create ()) in
     Array.blit st.watches 0 w 0 (2 * st.nvars);
     st.watches <- w;
     let o = Array.init (2 * n) (fun _ -> Vec.create ~dummy:0 ()) in
@@ -105,125 +151,223 @@ let grow st v =
     st.nvars <- n
   end
 
+let grow_for st src off len =
+  for k = off to off + len - 1 do
+    grow st (Lit.var src.(k))
+  done
+
 let ensure_arena st extra =
-  if st.fill + extra > Array.length st.arena then begin
-    let n = max (st.fill + extra) (2 * Array.length st.arena) in
-    let a = Array.make n 0 in
-    Array.blit st.arena 0 a 0 st.fill;
-    st.arena <- a
+  if st.fill + extra > Array.length st.arena then
+    st.arena <-
+      extend st.arena (max (st.fill + extra) (2 * Array.length st.arena)) 0
+
+let ensure_clause_slot st =
+  let cap = Array.length st.offs in
+  if st.nclauses >= cap then begin
+    st.offs <- extend st.offs (2 * cap) 0;
+    st.lens <- extend st.lens (2 * cap) 0;
+    st.live <- extend st.live (2 * cap) false;
+    st.hashes <- extend st.hashes (2 * cap) 0;
+    st.distinct <- extend st.distinct (2 * cap) 0;
+    st.next <- extend st.next (2 * cap) (-1)
   end
 
-let value st l =
-  let a = st.assignment.(Lit.var l) in
-  if Lit.sign l then a else -a
+let[@inline] lit_value assignment l =
+  let a = assignment.(l lsr 1) in
+  if l land 1 = 0 then a else -a
+
+let value st l = lit_value st.assignment l
 
 let assign st l =
   st.assignment.(Lit.var l) <- (if Lit.sign l then 1 else -1);
-  Vec.push st.trail l
+  st.trail.(st.trail_size) <- l;
+  st.trail_size <- st.trail_size + 1
+
+(* Watcher ids: a clause id shifted left, tag bit 1 for binary clauses,
+   whose watchers are answered without touching the arena. *)
+let watch_id st cid = (cid lsl 1) lor if st.lens.(cid) = 2 then 1 else 0
 
 (* Watched-literal propagation from [qhead]; returns [true] on conflict.
    On conflict the queue is drained so the caller can undo cleanly. *)
 let propagate st =
+  let assignment = st.assignment and arena = st.arena and trail = st.trail in
+  let offs = st.offs and lens = st.lens in
   let conflict = ref false in
-  while (not !conflict) && st.qhead < Vec.size st.trail do
-    let p = Vec.get st.trail st.qhead in
+  let visits = ref 0 and derefs = ref 0 and props = ref 0 in
+  while (not !conflict) && st.qhead < st.trail_size do
+    let p = trail.(st.qhead) in
     st.qhead <- st.qhead + 1;
-    st.stats.propagations <- st.stats.propagations + 1;
+    incr props;
+    let false_lit = Lit.negate p in
     let ws = st.watches.(p) in
-    let n = Vec.size ws in
+    let wdata = ws.Watch.data in
+    let n = ws.Watch.size in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let cid = Vec.get ws !i in
-      incr i;
-      if not (Vec.get st.live cid) then () (* unwatched lazily if ever seen *)
+      let blocker = wdata.(!i) in
+      let w = wdata.(!i + 1) in
+      i := !i + 2;
+      incr visits;
+      let bv = lit_value assignment blocker in
+      if bv = 1 then begin
+        wdata.(!j) <- blocker;
+        wdata.(!j + 1) <- w;
+        j := !j + 2
+      end
       else begin
-        let off = Vec.get st.offs cid in
-        let len = Vec.get st.lens cid in
-        let false_lit = Lit.negate p in
-        if st.arena.(off) = false_lit then begin
-          st.arena.(off) <- st.arena.(off + 1);
-          st.arena.(off + 1) <- false_lit
-        end;
-        let first = st.arena.(off) in
-        if value st first = 1 then begin
-          Vec.set ws !j cid;
-          incr j
-        end
-        else begin
-          (* find a replacement watch among slots 2.. *)
-          let rec find k =
-            if k >= off + len then -1
-            else if value st st.arena.(k) <> -1 then k
-            else find (k + 1)
-          in
-          let k = find (off + 2) in
-          if k >= 0 then begin
-            st.arena.(off + 1) <- st.arena.(k);
-            st.arena.(k) <- false_lit;
-            Vec.push st.watches.(Lit.negate st.arena.(off + 1)) cid
+        (* [implied] is the literal the clause forces when every other
+           literal is false; -1 when it is satisfied or was re-watched *)
+        let implied =
+          if w land 1 = 1 then begin
+            (* binary: the blocker is the other literal *)
+            wdata.(!j) <- blocker;
+            wdata.(!j + 1) <- w;
+            j := !j + 2;
+            blocker
           end
           else begin
-            (* unit or conflicting *)
-            Vec.set ws !j cid;
-            incr j;
-            if value st first = -1 then begin
-              conflict := true;
-              st.qhead <- Vec.size st.trail;
-              while !i < n do
-                Vec.set ws !j (Vec.get ws !i);
-                incr i;
-                incr j
-              done
+            incr derefs;
+            let off = offs.(w lsr 1) in
+            let stop = off + lens.(w lsr 1) in
+            (* make sure the false literal is at position 1 *)
+            if arena.(off) = false_lit then begin
+              arena.(off) <- arena.(off + 1);
+              arena.(off + 1) <- false_lit
+            end;
+            let first = arena.(off) in
+            if first <> blocker && lit_value assignment first = 1 then begin
+              (* satisfied: keep the watcher, refresh the blocker *)
+              wdata.(!j) <- first;
+              wdata.(!j + 1) <- w;
+              j := !j + 2;
+              -1
             end
-            else assign st first
+            else begin
+              let k = ref (off + 2) in
+              while !k < stop && lit_value assignment arena.(!k) = -1 do
+                incr k
+              done;
+              if !k < stop then begin
+                arena.(off + 1) <- arena.(!k);
+                arena.(!k) <- false_lit;
+                (* never the list being traversed: the new watch is
+                   non-false, while [false_lit] is false *)
+                Watch.push st.watches.(Lit.negate arena.(off + 1)) first w;
+                -1
+              end
+              else begin
+                wdata.(!j) <- first;
+                wdata.(!j + 1) <- w;
+                j := !j + 2;
+                first
+              end
+            end
           end
-        end
+        in
+        if implied >= 0 then
+          if lit_value assignment implied = -1 then begin
+            conflict := true;
+            st.qhead <- st.trail_size;
+            while !i < n do
+              wdata.(!j) <- wdata.(!i);
+              wdata.(!j + 1) <- wdata.(!i + 1);
+              i := !i + 2;
+              j := !j + 2
+            done
+          end
+          else assign st implied
       end
     done;
-    Vec.shrink ws !j
+    ws.Watch.size <- !j
   done;
+  let s = st.stats in
+  s.propagations <- s.propagations + !props;
+  s.visits <- s.visits + !visits;
+  s.derefs <- s.derefs + !derefs;
   !conflict
 
 let undo_to st mark =
-  while Vec.size st.trail > mark do
-    let l = Vec.pop st.trail in
-    st.assignment.(Lit.var l) <- 0
+  for k = mark to st.trail_size - 1 do
+    st.assignment.(Lit.var st.trail.(k)) <- 0
   done;
+  st.trail_size <- mark;
   st.qhead <- min st.qhead mark
 
-let clause_key lits = List.sort_uniq Lit.compare lits
+(* Order-independent hash of a literal set: the sum of a per-literal mix,
+   each distinct literal counted once. *)
+let mix l =
+  let x = (l + 1) * 0x2545F4914F6CDD1D in
+  x lxor (x lsr 29)
+
+let bucket st h = (h lxor (h lsr 17)) land (Array.length st.buckets - 1)
+
+(* Stamp the distinct literals of [src.(off) .. src.(off + len - 1)] with a
+   fresh stamp and set [key_hash]/[key_size] to their set's hash and size.
+   Every literal's variable must be below [nvars]. *)
+let stamp_key st src off len =
+  st.stamp <- st.stamp + 1;
+  let s = st.stamp and stamps = st.stamps in
+  let h = ref 0 and size = ref 0 in
+  for k = off to off + len - 1 do
+    let l = src.(k) in
+    if stamps.(l) <> s then begin
+      stamps.(l) <- s;
+      h := !h + mix l;
+      incr size
+    end
+  done;
+  st.key_hash <- !h;
+  st.key_size <- !size
+
+let index_insert st cid =
+  let b = bucket st st.hashes.(cid) in
+  st.next.(cid) <- st.buckets.(b);
+  st.buckets.(b) <- cid
+
+(* Keep at most one indexed clause per bucket on average. Re-inserting in
+   ascending id order rebuilds every chain newest first. *)
+let index_add st cid =
+  if st.indexed >= Array.length st.buckets then begin
+    st.buckets <- Array.make (2 * Array.length st.buckets) (-1);
+    for c = 0 to cid - 1 do
+      if st.live.(c) then index_insert st c
+    done
+  end;
+  index_insert st cid;
+  st.indexed <- st.indexed + 1
 
 (* Append the clause to the arena and register it everywhere; then account
    for it under the persistent assignment: a falsified clause establishes
    the contradiction, a unit is asserted on the persistent trail and
    propagated, anything longer gets two non-false watches. *)
-let add_and_install st lits =
-  List.iter (fun l -> grow st (Lit.var l)) lits;
-  let len = List.length lits in
+let add_and_install st src off len =
+  grow_for st src off len;
   ensure_arena st len;
-  let off = st.fill in
-  List.iter
-    (fun l ->
-      st.arena.(st.fill) <- l;
-      st.fill <- st.fill + 1)
-    lits;
-  let cid = Vec.size st.offs in
-  Vec.push st.offs off;
-  Vec.push st.lens len;
-  Vec.push st.live true;
-  List.iter (fun l -> Vec.push st.occs.(l) cid) lits;
-  let key = clause_key lits in
-  (match Hashtbl.find_opt st.index key with
-  | Some ids -> ids := cid :: !ids
-  | None -> Hashtbl.add st.index key (ref [ cid ]));
+  ensure_clause_slot st;
+  let coff = st.fill in
+  Array.blit src off st.arena coff len;
+  st.fill <- st.fill + len;
+  let cid = st.nclauses in
+  st.nclauses <- cid + 1;
+  st.offs.(cid) <- coff;
+  st.lens.(cid) <- len;
+  st.live.(cid) <- true;
+  for k = coff to coff + len - 1 do
+    Vec.push st.occs.(st.arena.(k)) cid
+  done;
+  stamp_key st st.arena coff len;
+  st.hashes.(cid) <- st.key_hash;
+  st.distinct.(cid) <- st.key_size;
+  index_add st cid;
   (* move up to two non-false literals into the watch slots *)
+  let arena = st.arena in
   let found = ref 0 in
-  let k = ref off in
-  while !found < 2 && !k < off + len do
-    if value st st.arena.(!k) <> -1 then begin
-      let tmp = st.arena.(off + !found) in
-      st.arena.(off + !found) <- st.arena.(!k);
-      st.arena.(!k) <- tmp;
+  let k = ref coff in
+  while !found < 2 && !k < coff + len do
+    if value st arena.(!k) <> -1 then begin
+      let tmp = arena.(coff + !found) in
+      arena.(coff + !found) <- arena.(!k);
+      arena.(!k) <- tmp;
       incr found
     end;
     incr k
@@ -231,11 +375,13 @@ let add_and_install st lits =
   if !found = 0 then st.contradiction <- true
   else begin
     if len >= 2 then begin
-      Vec.push st.watches.(Lit.negate st.arena.(off)) cid;
-      Vec.push st.watches.(Lit.negate st.arena.(off + 1)) cid
+      let l0 = arena.(coff) and l1 = arena.(coff + 1) in
+      let w = watch_id st cid in
+      Watch.push st.watches.(Lit.negate l0) l1 w;
+      Watch.push st.watches.(Lit.negate l1) l0 w
     end;
-    if !found = 1 && value st st.arena.(off) = 0 then begin
-      assign st st.arena.(off);
+    if !found = 1 && value st arena.(coff) = 0 then begin
+      assign st arena.(coff);
       if propagate st then st.contradiction <- true
     end
   end
@@ -243,136 +389,170 @@ let add_and_install st lits =
 (* RUP: assume the negation of every literal on top of the persistent
    trail; derivable iff propagation conflicts. Tautologies and clauses
    already satisfied at the top level conflict immediately. *)
-let rup st lits =
+let rup st src off len =
   st.contradiction
   ||
-  let mark = Vec.size st.trail in
-  let exception Conflict in
-  let conflict =
-    match
-      List.iter
-        (fun l ->
-          match value st l with
-          | 1 -> raise Conflict
-          | -1 -> ()
-          | _ -> assign st (Lit.negate l))
-        lits
-    with
-    | () -> propagate st
-    | exception Conflict -> true
-  in
+  let mark = st.trail_size in
+  let satisfied = ref false in
+  let k = ref off in
+  while (not !satisfied) && !k < off + len do
+    let l = src.(!k) in
+    let v = value st l in
+    if v = 1 then satisfied := true
+    else if v = 0 then assign st (Lit.negate l);
+    incr k
+  done;
+  let conflict = !satisfied || propagate st in
   undo_to st mark;
   conflict
 
 (* RAT on the first literal (the DRAT pivot convention): every live clause
    containing the pivot's negation must yield a RUP resolvent. Occurrence
    lists are compacted in passing. *)
-let rat st lits =
-  match lits with
-  | [] -> false
-  | pivot :: _ ->
-      let neg = Lit.negate pivot in
-      if Lit.var neg >= st.nvars then true (* no clause can contain it *)
-      else begin
-        let occ = st.occs.(neg) in
-        let ok = ref true in
-        let j = ref 0 in
-        for i = 0 to Vec.size occ - 1 do
-          let cid = Vec.get occ i in
-          if Vec.get st.live cid then begin
-            Vec.set occ !j cid;
-            incr j;
-            if !ok then begin
-              let off = Vec.get st.offs cid in
-              let len = Vec.get st.lens cid in
-              let resolvent = ref (List.filter (fun l -> l <> pivot) lits) in
-              for k = off to off + len - 1 do
-                if st.arena.(k) <> neg then resolvent := st.arena.(k) :: !resolvent
-              done;
-              if not (rup st !resolvent) then ok := false
-            end
+let rat st src off len =
+  len > 0
+  &&
+  let pivot = src.(off) in
+  let neg = Lit.negate pivot in
+  Lit.var neg >= st.nvars (* no clause can contain it *)
+  ||
+  let occ = st.occs.(neg) in
+  let ok = ref true in
+  let j = ref 0 in
+  for i = 0 to Vec.size occ - 1 do
+    let cid = Vec.get occ i in
+    if st.live.(cid) then begin
+      Vec.set occ !j cid;
+      incr j;
+      if !ok then begin
+        let coff = st.offs.(cid) and clen = st.lens.(cid) in
+        if Array.length st.resolvent < len + clen then
+          st.resolvent <- Array.make (2 * (len + clen)) 0;
+        let r = st.resolvent and n = ref 0 in
+        for k = off to off + len - 1 do
+          if src.(k) <> pivot then begin
+            r.(!n) <- src.(k);
+            incr n
           end
         done;
-        Vec.shrink occ !j;
-        !ok
+        for k = coff to coff + clen - 1 do
+          if st.arena.(k) <> neg then begin
+            r.(!n) <- st.arena.(k);
+            incr n
+          end
+        done;
+        if not (rup st r 0 !n) then ok := false
       end
+    end
+  done;
+  Vec.shrink occ !j;
+  !ok
+
+let rec all_stamped stamps s arena k stop =
+  k >= stop || (stamps.(arena.(k)) = s && all_stamped stamps s arena (k + 1) stop)
 
 (* Deleting a clause that is not present is a tolerated no-op (the
    drat-trim convention): solvers simplify at load time, so traces
-   legitimately reference clauses the checker never saw. Deletions of unit
-   clauses do not retract their propagations (also as in drat-trim). *)
-let delete st lits =
-  let key = clause_key lits in
-  match Hashtbl.find_opt st.index key with
-  | None -> st.stats.ignored_deletions <- st.stats.ignored_deletions + 1
-  | Some ids -> (
-      match !ids with
-      | [] -> st.stats.ignored_deletions <- st.stats.ignored_deletions + 1
-      | cid :: rest ->
-          ids := rest;
-          Vec.set st.live cid false;
-          let len = Vec.get st.lens cid in
-          if len >= 2 then begin
-            let off = Vec.get st.offs cid in
-            let unwatch l =
-              Vec.filter_in_place (fun c -> c <> cid)
-                st.watches.(Lit.negate l)
-            in
-            unwatch st.arena.(off);
-            unwatch st.arena.(off + 1)
-          end;
-          st.stats.deletions <- st.stats.deletions + 1)
+   legitimately reference clauses the checker never saw. A deletion
+   matches a clause with the same literal set — order and repeats do not
+   matter — and removes the most recently added such copy. Deletions of
+   unit clauses do not retract their propagations (also as in
+   drat-trim). *)
+let delete st src off len =
+  let known = ref true in
+  for k = off to off + len - 1 do
+    if Lit.var src.(k) >= st.nvars then known := false
+  done;
+  let cid =
+    if not !known then -1 (* mentions a variable no clause has *)
+    else begin
+      stamp_key st src off len;
+      let h = st.key_hash and size = st.key_size and s = st.stamp in
+      let b = bucket st h in
+      let prev = ref (-1) and c = ref st.buckets.(b) in
+      while
+        !c >= 0
+        && not
+             (st.hashes.(!c) = h
+             && st.distinct.(!c) = size
+             && all_stamped st.stamps s st.arena st.offs.(!c)
+                  (st.offs.(!c) + st.lens.(!c)))
+      do
+        prev := !c;
+        c := st.next.(!c)
+      done;
+      (* unlink the match from its chain *)
+      if !c >= 0 then
+        if !prev < 0 then st.buckets.(b) <- st.next.(!c)
+        else st.next.(!prev) <- st.next.(!c);
+      !c
+    end
+  in
+  if cid < 0 then st.stats.ignored_deletions <- st.stats.ignored_deletions + 1
+  else begin
+    st.live.(cid) <- false;
+    st.indexed <- st.indexed - 1;
+    let off = st.offs.(cid) in
+    if st.lens.(cid) >= 2 then begin
+      let w = watch_id st cid in
+      Watch.remove st.watches.(Lit.negate st.arena.(off)) w;
+      Watch.remove st.watches.(Lit.negate st.arena.(off + 1)) w
+    end;
+    st.stats.deletions <- st.stats.deletions + 1
+  end
 
 let load cnf =
   let st = create (Cnf.num_vars cnf) in
   Cnf.iter_clauses' cnf ~f:(fun arena off len ->
-      if not st.contradiction then
-        add_and_install st (Array.to_list (Array.sub arena off len)));
+      if not st.contradiction then add_and_install st arena off len);
   st
-
-let grow_for st lits = List.iter (fun l -> grow st (Lit.var l)) lits
 
 let is_rup cnf clause =
   let st = load cnf in
-  grow_for st clause;
-  rup st clause
+  let a = Array.of_list clause in
+  grow_for st a 0 (Array.length a);
+  rup st a 0 (Array.length a)
 
 let is_rat cnf clause =
   let st = load cnf in
-  grow_for st clause;
-  rup st clause || rat st clause
+  let a = Array.of_list clause in
+  let len = Array.length a in
+  grow_for st a 0 len;
+  rup st a 0 len || rat st a 0 len
 
+(* Replays the trace straight from the proof's arena; [Exit] stops the walk
+   once UNSAT is established or a step fails. *)
 let check cnf proof =
   let st = load cnf in
-  let steps = Proof.steps proof in
-  let num_steps = List.length steps in
-  let rec go i = function
-    | _ when st.contradiction -> Ok st.stats
-    | [] -> Error (No_empty_clause { num_steps })
-    | step :: rest -> (
-        match step with
-        | Proof.Add lits ->
-            st.stats.additions <- st.stats.additions + 1;
-            grow_for st lits;
-            if rup st lits then begin
-              st.stats.rup_steps <- st.stats.rup_steps + 1;
-              add_and_install st lits;
-              go (i + 1) rest
-            end
-            else if rat st lits then begin
-              st.stats.rat_steps <- st.stats.rat_steps + 1;
-              add_and_install st lits;
-              go (i + 1) rest
-            end
-            else
-              Error
-                (Bad_step
-                   { step_index = i; reason = "added clause is neither RUP nor RAT" })
-        | Proof.Delete lits ->
-            delete st lits;
-            go (i + 1) rest)
-  in
-  go 0 steps
+  let step = ref 0 and failed = ref false in
+  (try
+     Proof.iter proof ~f:(fun ~delete:is_delete data off len ->
+         if st.contradiction then raise Exit;
+         if is_delete then delete st data off len
+         else begin
+           st.stats.additions <- st.stats.additions + 1;
+           grow_for st data off len;
+           if rup st data off len then begin
+             st.stats.rup_steps <- st.stats.rup_steps + 1;
+             add_and_install st data off len
+           end
+           else if rat st data off len then begin
+             st.stats.rat_steps <- st.stats.rat_steps + 1;
+             add_and_install st data off len
+           end
+           else begin
+             failed := true;
+             raise Exit
+           end
+         end;
+         incr step)
+   with Exit -> ());
+  if !failed then
+    Error
+      (Bad_step
+         { step_index = !step; reason = "added clause is neither RUP nor RAT" })
+  else if st.contradiction then Ok st.stats
+  else Error (No_empty_clause { num_steps = Proof.num_steps proof })
 
 (* ------------------------------------------------------------------ *)
 (* Reference checker: the original list-scanning implementation, kept as

@@ -8,9 +8,20 @@
     via a persistent trail, so a bench-sized trace checks in near-linear
     time rather than the quadratic re-scan of the reference checker.
 
-    Deviations worth knowing, both the drat-trim convention: deleting a
-    clause that is not present is a tolerated no-op (counted in {!stats}),
-    and deleting a unit clause does not retract its propagation. *)
+    Propagation runs on the solver's watcher lists ([Watch]): each watcher
+    carries a blocker literal, so a visit whose blocker is true never reads
+    the clause, and binary clauses are answered from the watcher alone. The
+    trace is replayed straight from the proof's flat arena ({!Proof.iter}),
+    and a deletion finds its clause through a hash of the clause's literal
+    set, confirmed by a set-equality check. The propagation loop allocates
+    nothing.
+
+    Deviations worth knowing, all the drat-trim convention: a deletion
+    matches any clause with the same literal set (order and repeated
+    literals do not matter) and removes the most recently added copy;
+    deleting a clause that is not present is a tolerated no-op (counted in
+    {!stats}); and deleting a unit clause does not retract its
+    propagation. *)
 
 type stats = {
   mutable additions : int;  (** [Add] steps examined *)
@@ -20,6 +31,10 @@ type stats = {
   mutable ignored_deletions : int;
       (** deletions of absent clauses, tolerated as no-ops *)
   mutable propagations : int;  (** trail literals processed *)
+  mutable visits : int;  (** watchers examined during propagation *)
+  mutable derefs : int;
+      (** clauses read from the arena during propagation: visits minus
+          those settled by a true blocker or an inline binary watcher *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit

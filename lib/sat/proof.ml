@@ -1,24 +1,65 @@
 type step = Add of Lit.t list | Delete of Lit.t list
-type t = { steps : step Vec.t }
 
-let create () = { steps = Vec.create ~dummy:(Add []) () }
-let add t lits = Vec.push t.steps (Add lits)
-let add_array t lits = Vec.push t.steps (Add (Array.to_list lits))
-let delete t lits = Vec.push t.steps (Delete lits)
-let steps t = Vec.to_list t.steps
-let num_steps t = Vec.size t.steps
+(* Steps live in one flat int arena: a header word [(len lsl 1) lor tag]
+   (tag 1 for a deletion) followed by the step's [len] literals. *)
+type t = {
+  mutable data : int array;
+  mutable fill : int;
+  mutable count : int;
+  mutable last_add_len : int; (* -1 until the first addition *)
+}
 
-let ends_with_empty t =
-  let rec last_add i =
-    if i < 0 then None
-    else
-      match Vec.get t.steps i with
-      | Add lits -> Some lits
-      | Delete _ -> last_add (i - 1)
-  in
-  match last_add (Vec.size t.steps - 1) with
-  | Some [] -> true
-  | Some _ | None -> false
+let create () = { data = Array.make 64 0; fill = 0; count = 0; last_add_len = -1 }
+
+let reserve t n =
+  if t.fill + n > Array.length t.data then begin
+    let a = Array.make (max (t.fill + n) (2 * Array.length t.data)) 0 in
+    Array.blit t.data 0 a 0 t.fill;
+    t.data <- a
+  end
+
+let header t ~delete len =
+  reserve t (len + 1);
+  t.data.(t.fill) <- (len lsl 1) lor if delete then 1 else 0;
+  t.fill <- t.fill + 1;
+  t.count <- t.count + 1;
+  if not delete then t.last_add_len <- len
+
+let push_list t ~delete lits =
+  header t ~delete (List.length lits);
+  List.iter
+    (fun l ->
+      t.data.(t.fill) <- l;
+      t.fill <- t.fill + 1)
+    lits
+
+let push_sub t ~delete src off len =
+  header t ~delete len;
+  Array.blit src off t.data t.fill len;
+  t.fill <- t.fill + len
+
+let add t lits = push_list t ~delete:false lits
+let add_array t lits = push_sub t ~delete:false lits 0 (Array.length lits)
+let delete t lits = push_list t ~delete:true lits
+let delete_sub t src off len = push_sub t ~delete:true src off len
+let num_steps t = t.count
+let ends_with_empty t = t.last_add_len = 0
+
+let iter t ~f =
+  let pos = ref 0 in
+  while !pos < t.fill do
+    let h = t.data.(!pos) in
+    let len = h lsr 1 in
+    f ~delete:(h land 1 = 1) t.data (!pos + 1) len;
+    pos := !pos + 1 + len
+  done
+
+let steps t =
+  let acc = ref [] in
+  iter t ~f:(fun ~delete data off len ->
+      let lits = Array.to_list (Array.sub data off len) in
+      acc := (if delete then Delete lits else Add lits) :: !acc);
+  List.rev !acc
 
 exception Parse_error of string
 
@@ -48,8 +89,7 @@ let parse_line t line_no line =
           ([], false) body
       in
       if not terminated then fail "missing terminating 0";
-      let lits = List.rev lits in
-      if is_delete then delete t lits else add t lits
+      push_list t ~delete:is_delete (List.rev lits)
 
 let parse ic =
   let t = create () in
@@ -67,14 +107,9 @@ let parse_file path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> parse ic)
 
 let output oc t =
-  let put_lits lits =
-    List.iter (fun l -> Printf.fprintf oc "%d " (Lit.to_dimacs l)) lits;
-    output_string oc "0\n"
-  in
-  Vec.iter
-    (function
-      | Add lits -> put_lits lits
-      | Delete lits ->
-          output_string oc "d ";
-          put_lits lits)
-    t.steps
+  iter t ~f:(fun ~delete data off len ->
+      if delete then output_string oc "d ";
+      for k = off to off + len - 1 do
+        Printf.fprintf oc "%d " (Lit.to_dimacs data.(k))
+      done;
+      output_string oc "0\n")

@@ -5,7 +5,13 @@
     an UNSAT answer. The trace can be written in the standard textual DRAT
     format consumed by external checkers, and this module also provides a
     lightweight internal check that the recorded additions end with the empty
-    clause. *)
+    clause.
+
+    Steps are stored in one flat int arena — per step a header word holding
+    the literal count and an add/delete tag, then the literals — so recording
+    a step copies its literals once and allocates nothing else, and
+    {!Drat_check} replays the trace straight from the arena through {!iter}.
+    {!steps} is a list view for code that wants to pattern-match. *)
 
 type step = Add of Lit.t list | Delete of Lit.t list
 
@@ -15,12 +21,22 @@ val create : unit -> t
 val add : t -> Lit.t list -> unit
 
 val add_array : t -> Lit.t array -> unit
-(** As {!add}; lets recording sites that hold literal arrays defer the list
-    conversion until a proof is actually being recorded. *)
+(** As {!add}, copying the array into the arena; the caller may reuse it. *)
 
 val delete : t -> Lit.t list -> unit
+
+val delete_sub : t -> Lit.t array -> int -> int -> unit
+(** [delete_sub t src off len] records the deletion of the clause whose
+    literals are [src.(off) .. src.(off + len - 1)], copying them. *)
+
+val iter : t -> f:(delete:bool -> Lit.t array -> int -> int -> unit) -> unit
+(** [iter t ~f] calls [f ~delete data off len] for every step in recording
+    order; the step's literals are [data.(off) .. data.(off + len - 1)].
+    [data] is the trace's own storage: [f] must not write to it, and must
+    not record steps into [t]. *)
+
 val steps : t -> step list
-(** In recording order. *)
+(** In recording order. Builds a fresh list; {!iter} avoids the copy. *)
 
 val num_steps : t -> int
 

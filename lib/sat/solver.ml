@@ -100,38 +100,6 @@ module Rng = struct
   let int t bound = int_of_float (float t *. float_of_int bound)
 end
 
-(* Watcher lists: packed (blocker, cref) int pairs in a flat array, two
-   slots per watcher. The blocker is some other literal of the clause; when
-   it is already true the visit skips the clause dereference entirely, which
-   is the common case on dense instances (MiniSat/Glucose blocker trick).
-   Hand-rolled rather than an int Vec so the hot loop indexes one array with
-   no per-element bounds ceremony. *)
-type wlist = { mutable wdata : int array; mutable wsize : int }
-
-let wl_create () = { wdata = [||]; wsize = 0 }
-
-let wl_push w blocker cref =
-  let cap = Array.length w.wdata in
-  if w.wsize + 2 > cap then begin
-    let ndata = Array.make (max 8 (2 * cap)) 0 in
-    Array.blit w.wdata 0 ndata 0 w.wsize;
-    w.wdata <- ndata
-  end;
-  w.wdata.(w.wsize) <- blocker;
-  w.wdata.(w.wsize + 1) <- cref;
-  w.wsize <- w.wsize + 2
-
-let wl_remove w cref =
-  let i = ref 0 in
-  while !i < w.wsize && w.wdata.(!i + 1) <> cref do
-    i := !i + 2
-  done;
-  if !i < w.wsize then begin
-    w.wdata.(!i) <- w.wdata.(w.wsize - 2);
-    w.wdata.(!i + 1) <- w.wdata.(w.wsize - 1);
-    w.wsize <- w.wsize - 2
-  end
-
 type state = {
   cfg : config;
   nvars : int;
@@ -140,7 +108,7 @@ type state = {
   mutable db : Clause.t;
   clauses : Clause.cref Vec.t;
   learnts : Clause.cref Vec.t;
-  watches : wlist array; (* indexed by literal *)
+  watches : Watch.t array; (* indexed by literal; see [Watch] *)
   (* assignment *)
   assigns : int array; (* -1 false, 0 undef, 1 true; indexed by var *)
   level : int array;
@@ -177,7 +145,7 @@ let create cfg nvars proof =
     db = Clause.create ();
     clauses = Vec.create ~dummy:Clause.cref_undef ();
     learnts = Vec.create ~dummy:Clause.cref_undef ();
-    watches = Array.init (max (2 * nvars) 1) (fun _ -> wl_create ());
+    watches = Array.init (max (2 * nvars) 1) (fun _ -> Watch.create ());
     assigns = Array.make (max nvars 1) 0;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) Clause.cref_undef;
@@ -238,13 +206,13 @@ let enqueue st l reason =
 let attach_clause st c =
   let db = st.db in
   let l0 = Clause.lit db c 0 and l1 = Clause.lit db c 1 in
-  wl_push st.watches.(Lit.negate l0) l1 c;
-  wl_push st.watches.(Lit.negate l1) l0 c
+  Watch.push st.watches.(Lit.negate l0) l1 c;
+  Watch.push st.watches.(Lit.negate l1) l0 c
 
 let detach_clause st c =
   let db = st.db in
-  wl_remove st.watches.(Lit.negate (Clause.lit db c 0)) c;
-  wl_remove st.watches.(Lit.negate (Clause.lit db c 1)) c
+  Watch.remove st.watches.(Lit.negate (Clause.lit db c 0)) c;
+  Watch.remove st.watches.(Lit.negate (Clause.lit db c 1)) c
 
 (* Propagate all enqueued facts; returns the conflicting cref, or
    [Clause.cref_undef]. The hot loop works on the raw arena and raw watcher
@@ -261,8 +229,8 @@ let propagate st =
     st.qhead <- st.qhead + 1;
     let false_lit = Lit.negate p in
     let ws = st.watches.(p) in
-    let wdata = ws.wdata in
-    let n = ws.wsize in
+    let wdata = ws.Watch.data in
+    let n = ws.Watch.size in
     let i = ref 0 and j = ref 0 in
     while !i < n do
       let blocker = wdata.(!i) in
@@ -300,7 +268,7 @@ let propagate st =
             arena.(base + !k) <- false_lit;
             (* never the list being traversed: the new watch is non-false,
                while [negate p] is false by construction *)
-            wl_push st.watches.(Lit.negate arena.(base + 1)) first cr
+            Watch.push st.watches.(Lit.negate arena.(base + 1)) first cr
           end
           else begin
             (* clause is unit or conflicting *)
@@ -322,7 +290,7 @@ let propagate st =
         end
       end
     done;
-    ws.wsize <- !j
+    ws.Watch.size <- !j
   done;
   !conflict
 
@@ -448,15 +416,16 @@ let locked st c =
 let record_proof_add st lits =
   match st.proof with Some p -> Proof.add p lits | None -> ()
 
-(* Array variants convert to the proof's list representation only when a
-   proof is actually being recorded, so proof-less solving never pays the
-   per-conflict list allocation. *)
+(* The array and arena variants copy literals straight into the proof's
+   flat arena, so recording a step allocates no list. *)
 let record_proof_add_arr st lits =
   match st.proof with Some p -> Proof.add_array p lits | None -> ()
 
 let record_proof_delete st c =
   match st.proof with
-  | Some p -> Proof.delete p (Clause.to_list st.db c)
+  | Some p ->
+      Proof.delete_sub p (Clause.raw st.db) (c + Clause.header_words)
+        (Clause.size st.db c)
   | None -> ()
 
 (* Compact the clause arena: copy live clauses into a fresh arena (leaving
@@ -487,7 +456,7 @@ let gc st =
     else st.reason.(v) <- Clause.cref_undef
   done;
   st.db <- ndb;
-  Array.iter (fun w -> w.wsize <- 0) st.watches;
+  Array.iter (fun w -> w.Watch.size <- 0) st.watches;
   Vec.iter (fun c -> attach_clause st c) st.clauses;
   Vec.iter (fun c -> attach_clause st c) st.learnts
 

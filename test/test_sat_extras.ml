@@ -143,6 +143,141 @@ let test_drat_real_deletion_counted () =
       Alcotest.(check int) "no ignored deletion" 0 stats.Drat.ignored_deletions
   | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
 
+(* Deletion through the hashed set index, inline binary watchers and
+   moved long watches. Each control run without the deletion shows the
+   lemma is otherwise accepted (the trace then ends without the empty
+   clause). *)
+
+let expect_bad_step name step proof cnf =
+  match Drat.check cnf proof with
+  | Error (Drat.Bad_step { step_index; _ }) ->
+      Alcotest.(check int) (name ^ ": rejected step") step step_index
+  | Error (Drat.No_empty_clause _) ->
+      Alcotest.fail (name ^ ": lemma accepted after its clause was deleted")
+  | Ok _ -> Alcotest.fail (name ^ ": trace accepted")
+
+let expect_lemmas_pass name proof cnf =
+  match Drat.check cnf proof with
+  | Error (Drat.No_empty_clause _) -> ()
+  | Error e -> Alcotest.fail (Format.asprintf "%s: %a" name Drat.pp_error e)
+  | Ok _ -> Alcotest.fail (name ^ ": no refutation was expected")
+
+let lits = List.map Lit.of_dimacs
+
+let test_drat_deleted_binary_stops () =
+  (* (-1 2 5) is RUP only through the binary (-1 2); not RAT on -1, since
+     the resolvent (2 5 3) with (1 3) is not RUP *)
+  let cnf = cnf_of 4 [ [ -1; 2 ]; [ 1; 3 ]; [ -3; 4 ] ] in
+  let control = Proof.create () in
+  Proof.add control (lits [ -1; 2; 5 ]);
+  expect_lemmas_pass "control" control cnf;
+  let proof = Proof.create () in
+  Proof.delete proof (lits [ -1; 2 ]);
+  Proof.add proof (lits [ -1; 2; 5 ]);
+  expect_bad_step "binary" 1 proof cnf
+
+let test_drat_deleted_long_stops () =
+  (* the first lemma assumes 1, which moves the watch of (-1 2 3) off -1;
+     the deletion must then find the clause's watchers where they moved *)
+  let cnf = cnf_of 5 [ [ -1; 2; 3 ]; [ 1; 4 ]; [ -4; 5 ] ] in
+  let lemma0 = lits [ -1; -4; 5 ] and lemma = lits [ -1; 2; 3; 6 ] in
+  let control = Proof.create () in
+  Proof.add control lemma0;
+  Proof.add control lemma;
+  expect_lemmas_pass "control" control cnf;
+  let proof = Proof.create () in
+  Proof.add proof lemma0;
+  Proof.delete proof (lits [ -1; 2; 3 ]);
+  Proof.add proof lemma;
+  expect_bad_step "long clause" 2 proof cnf
+
+let test_drat_deletion_matches_set () =
+  (* permuted, with a repeated literal: still the clause (-1 2 3) *)
+  let cnf = cnf_of 4 [ [ -1; 2; 3 ]; [ 1; 4 ] ] in
+  let proof = Proof.create () in
+  Proof.delete proof (lits [ 3; -1; 2; 3 ]);
+  Proof.add proof (lits [ -1; 2; 3; 5 ]);
+  expect_bad_step "set-matched deletion" 1 proof cnf;
+  (* the same deletion, then a refutation of an xor core on 5, 6, so the
+     check succeeds and reports its stats *)
+  let cnf =
+    cnf_of 6 [ [ -1; 2; 3 ]; [ 1; 4 ]; [ 5; 6 ]; [ -5; 6 ]; [ 5; -6 ]; [ -5; -6 ] ]
+  in
+  let proof = Proof.create () in
+  Proof.delete proof (lits [ 3; -1; 2; 3 ]);
+  Proof.add proof (lits [ 6 ]);
+  match Drat.check cnf proof with
+  | Ok stats ->
+      Alcotest.(check int) "removed" 1 stats.Drat.deletions;
+      Alcotest.(check int) "not ignored" 0 stats.Drat.ignored_deletions
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
+
+(* the clause (-1 2 3) next to (1 4) and an xor core on 7, 8 that the last
+   lemma (8) refutes *)
+let copies_cnf () =
+  cnf_of 8 [ [ -1; 2; 3 ]; [ 1; 4 ]; [ 7; 8 ]; [ -7; 8 ]; [ 7; -8 ]; [ -7; -8 ] ]
+
+let test_drat_identical_copies () =
+  let c = lits [ -1; 2; 3 ] and needs_c = lits [ -1; 2; 3; 5 ] in
+  let proof = Proof.create () in
+  Proof.add proof c;
+  Proof.delete proof c;
+  Proof.add proof needs_c;
+  Proof.delete proof c;
+  Proof.delete proof c;
+  Proof.add proof (lits [ 8 ]);
+  (match Drat.check (copies_cnf ()) proof with
+  | Ok stats ->
+      Alcotest.(check int) "both copies removed" 2 stats.Drat.deletions;
+      Alcotest.(check int) "third deletion ignored" 1 stats.Drat.ignored_deletions;
+      Alcotest.(check int) "the remaining copy justified the lemma by RUP" 3
+        stats.Drat.rup_steps;
+      Alcotest.(check int) "no RAT" 0 stats.Drat.rat_steps
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e));
+  let proof = Proof.create () in
+  Proof.add proof c;
+  Proof.delete proof c;
+  Proof.delete proof c;
+  Proof.add proof needs_c;
+  expect_bad_step "both copies deleted" 3 proof (copies_cnf ())
+
+let test_drat_binary_unit_persists () =
+  (* installing (1) derives 2 through the inline binary watcher of (-1 2);
+     once that clause is deleted, only the persistent top-level fact 2 makes
+     (-3 4) RUP through (-2 -3 4). Were 2 missing, (-3 4) would pass as RAT
+     (no clause holds 3), which the rat_steps check catches. *)
+  let cnf =
+    cnf_of 8
+      [ [ 1; 5 ]; [ 1; -5 ]; [ -1; 2 ]; [ -2; -3; 4 ];
+        [ 7; 8 ]; [ -7; 8 ]; [ 7; -8 ]; [ -7; -8 ] ]
+  in
+  let proof = Proof.create () in
+  Proof.add proof (lits [ 1 ]);
+  Proof.delete proof (lits [ -1; 2 ]);
+  Proof.add proof (lits [ -3; 4 ]);
+  Proof.add proof (lits [ 8 ]);
+  match Drat.check cnf proof with
+  | Ok stats ->
+      Alcotest.(check int) "all lemmas RUP" 3 stats.Drat.rup_steps;
+      Alcotest.(check int) "no RAT" 0 stats.Drat.rat_steps;
+      Alcotest.(check int) "binary clause deleted" 1 stats.Drat.deletions
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
+
+let test_drat_work_counters () =
+  (* every dereference is a visit; PHP's binary clauses are answered
+     without one *)
+  let cnf = php 5 4 in
+  let proof = Proof.create () in
+  ignore (Solver.solve ~proof cnf);
+  match Drat.check cnf proof with
+  | Ok stats ->
+      Alcotest.(check bool) "visits happen" true (stats.Drat.visits > 0);
+      Alcotest.(check bool) "derefs <= visits" true
+        (stats.Drat.derefs <= stats.Drat.visits);
+      Alcotest.(check bool) "binary watchers skip the arena" true
+        (stats.Drat.derefs < stats.Drat.visits)
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
+
 let test_is_rat () =
   (* F = {(a|b), (-a|c), (-b|c)}: (a) is not RUP — assuming -a propagates
      nothing to conflict — but is RAT on a: the sole resolvent (c) is RUP *)
@@ -180,6 +315,228 @@ let prop_drat_agrees_with_reference =
           Result.is_ok (Drat.check cnf proof)
           = Result.is_ok (Drat.check_reference cnf proof)
       | (Solver.Sat _ | Solver.Unknown | Solver.Memout), _ -> true)
+
+(* Mutation differential: the two properties above feed only valid solver
+   proofs, which a checker that accepts everything would pass. Here every
+   refutation of a seeded random 3-CNF gets one seeded corruption, and the
+   fast checker is held against two list-scanning oracles: whatever
+   [check_reference] accepts it must accept, and it must agree with
+   [persistent_rup] below up to RAT, which only the fast checker decides. A
+   floor on the rejected share keeps the property from passing vacuously.
+
+   [check_reference] alone cannot bound the fast checker from above: it
+   re-derives every fact from the live clauses, while the fast checker
+   keeps top-level facts on its trail after the clause that implied them
+   is deleted (the drat-trim convention), so it rightly accepts some
+   traces the reference rejects — seed 2008 trial 81 is one. *)
+
+let set_of l = List.sort_uniq Lit.compare l
+
+(* Naive RUP checker with the fast checker's conventions: top-level facts
+   derived as clauses arrive survive later deletions; a deletion removes
+   the newest live clause with the same literal set; the trace is accepted
+   once the top level conflicts. *)
+let persistent_rup cnf steps =
+  let nvars =
+    List.fold_left
+      (fun n -> function
+        | Proof.Add l | Proof.Delete l ->
+            List.fold_left (fun n x -> max n (Lit.var x + 1)) n l)
+      (Cnf.num_vars cnf) steps
+  in
+  let value = Array.make (max nvars 1) 0 in
+  let lit_value l = if Lit.sign l then value.(Lit.var l) else -value.(Lit.var l) in
+  let set l = value.(Lit.var l) <- (if Lit.sign l then 1 else -1) in
+  let clauses = ref [] (* (literals, live), newest first *) in
+  (* unit propagation to fixpoint over the live clauses; returns whether it
+     conflicted and the variables it assigned *)
+  let propagate () =
+    let assigned = ref [] and conflict = ref false and progress = ref true in
+    while (not !conflict) && !progress do
+      progress := false;
+      List.iter
+        (fun (c, live) ->
+          if !live && (not !conflict) && not (List.exists (fun l -> lit_value l = 1) c)
+          then
+            match List.filter (fun l -> lit_value l = 0) c with
+            | [] -> conflict := true
+            | [ l ] ->
+                set l;
+                assigned := Lit.var l :: !assigned;
+                progress := true
+            | _ -> ())
+        !clauses
+    done;
+    (!conflict, !assigned)
+  in
+  let contradiction = ref false in
+  let add c =
+    clauses := (c, ref true) :: !clauses;
+    if fst (propagate ()) then contradiction := true
+  in
+  (* a literal true before or under the earlier assumptions (as in a
+     tautology) makes the clause RUP at once *)
+  let rup c =
+    !contradiction
+    ||
+    let assumed = ref [] in
+    let satisfied =
+      List.exists
+        (fun l ->
+          let v = lit_value l in
+          if v = 0 then begin
+            set (Lit.negate l);
+            assumed := Lit.var l :: !assumed
+          end;
+          v = 1)
+        c
+    in
+    let conflict, assigned = if satisfied then (true, []) else propagate () in
+    List.iter (fun v -> value.(v) <- 0) (!assumed @ assigned);
+    conflict
+  in
+  let delete c =
+    let key = set_of c in
+    match List.find_opt (fun (d, live) -> !live && set_of d = key) !clauses with
+    | Some (_, live) -> live := false
+    | None -> ()
+  in
+  Cnf.iter_clauses' cnf ~f:(fun arena off len ->
+      if not !contradiction then add (Array.to_list (Array.sub arena off len)));
+  let rec go = function
+    | _ when !contradiction -> true
+    | [] -> false
+    | Proof.Add c :: rest -> rup c && (add c; go rest)
+    | Proof.Delete c :: rest ->
+        delete c;
+        go rest
+  in
+  go steps
+
+type corruption = Drop_lit | Flip_lit | Drop_lemma | Early_delete
+
+let corruption_name = function
+  | Drop_lit -> "drop a literal"
+  | Flip_lit -> "flip a literal"
+  | Drop_lemma -> "drop a lemma"
+  | Early_delete -> "delete early"
+
+let random_3cnf rng =
+  let nvars = 30 + Random.State.int rng 16 in
+  let nclauses = (46 * nvars / 10) + Random.State.int rng 4 in
+  List.init nclauses (fun _ ->
+      List.init 3 (fun _ -> Lit.make (Random.State.int rng nvars) (Random.State.bool rng)))
+  |> fun clauses -> build (nvars, clauses)
+
+(* One corruption of [steps], or [None] when the trace has no lemma to
+   corrupt. A lemma is a non-empty addition: the final empty clause is the
+   claim itself, and the fast checker may legitimately stop before it.
+   [Early_delete] moves a deletion to just after the addition of its clause
+   (the trace start for an input clause), ahead of the lemmas that may
+   still need it; a trace without deletions gets [Flip_lit] instead. *)
+let corrupt rng steps =
+  let steps = Array.of_list steps in
+  let indices p =
+    List.filter (fun i -> p steps.(i)) (List.init (Array.length steps) Fun.id)
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let lemmas = indices (function Proof.Add (_ :: _) -> true | _ -> false) in
+  let deletions = indices (function Proof.Delete _ -> true | _ -> false) in
+  if lemmas = [] then None
+  else
+    let kind =
+      match Random.State.int rng 4 with
+      | 0 -> Drop_lit
+      | 1 -> Flip_lit
+      | 2 -> Drop_lemma
+      | _ -> if deletions = [] then Flip_lit else Early_delete
+    in
+    let without i = List.filteri (fun k _ -> k <> i) (Array.to_list steps) in
+    let edit_lemma f =
+      let i = pick lemmas in
+      match steps.(i) with
+      | Proof.Add lits ->
+          let k = Random.State.int rng (List.length lits) in
+          steps.(i) <- Proof.Add (f k lits);
+          Array.to_list steps
+      | Proof.Delete _ -> assert false
+    in
+    let mutated =
+      match kind with
+      | Drop_lit -> edit_lemma (fun k lits -> List.filteri (fun j _ -> j <> k) lits)
+      | Flip_lit ->
+          edit_lemma (fun k lits ->
+              List.mapi (fun j l -> if j = k then Lit.negate l else l) lits)
+      | Drop_lemma -> without (pick lemmas)
+      | Early_delete ->
+          let p = pick deletions in
+          let target =
+            match steps.(p) with Proof.Delete l -> set_of l | Proof.Add _ -> []
+          in
+          let added_at =
+            List.fold_left
+              (fun acc i ->
+                match steps.(i) with
+                | Proof.Add l when i < p && set_of l = target -> i + 1
+                | _ -> acc)
+              0 (List.init p Fun.id)
+          in
+          let rest = without p in
+          List.filteri (fun k _ -> k < added_at) rest
+          @ (steps.(p) :: List.filteri (fun k _ -> k >= added_at) rest)
+    in
+    Some (kind, mutated)
+
+let mutation_seed = 2008
+
+(* frequent restarts, each followed by inprocessing, so the traces carry
+   the add/delete pairs of strengthened clauses *)
+let mutation_config =
+  { Solver.default with restart = Solver.Luby_restarts 8; inprocess_every = 1 }
+
+let test_drat_mutation_differential () =
+  let trials = 200 in
+  let mutated = ref 0 and rejected = ref 0 in
+  for trial = 0 to trials - 1 do
+    let rng = Random.State.make [| mutation_seed; trial |] in
+    let cnf = random_3cnf rng in
+    let proof = Proof.create () in
+    match Solver.solve ~config:mutation_config ~proof cnf with
+    | Solver.Unsat, _ -> (
+        match corrupt rng (Proof.steps proof) with
+        | None -> ()
+        | Some (kind, steps) ->
+            let bad = Proof.create () in
+            List.iter
+              (function
+                | Proof.Add l -> Proof.add bad l | Proof.Delete l -> Proof.delete bad l)
+              steps;
+            incr mutated;
+            let fast = Drat.check cnf bad in
+            let reference = Result.is_ok (Drat.check_reference cnf bad) in
+            let persistent = persistent_rup cnf steps in
+            let fail what =
+              Alcotest.failf "seed %d, trial %d (%s): %s" mutation_seed trial
+                (corruption_name kind) what
+            in
+            (match fast with
+            | Ok stats ->
+                if (not persistent) && stats.Drat.rat_steps = 0 then
+                  fail "fast checker accepts a trace the naive checker rejects"
+            | Error _ ->
+                incr rejected;
+                if reference then
+                  fail "reference accepts a trace the fast checker rejects";
+                if persistent then
+                  fail "naive checker accepts a trace the fast checker rejects"))
+    | (Solver.Sat _ | Solver.Unknown | Solver.Memout), _ -> ()
+  done;
+  if !mutated < trials / 4 then
+    Alcotest.failf "seed %d: only %d of %d trials gave a corrupted refutation"
+      mutation_seed !mutated trials;
+  if 4 * !rejected < !mutated then
+    Alcotest.failf "seed %d: only %d of %d corrupted traces rejected (< 25%%)"
+      mutation_seed !rejected !mutated
 
 let test_proof_parse_roundtrip () =
   let proof = Proof.create () in
@@ -384,8 +741,21 @@ let () =
              test_drat_tolerates_absent_deletion
         :: Alcotest.test_case "counts real deletions" `Quick
              test_drat_real_deletion_counted
+        :: Alcotest.test_case "deleted binary stops propagating" `Quick
+             test_drat_deleted_binary_stops
+        :: Alcotest.test_case "deleted long clause stops propagating" `Quick
+             test_drat_deleted_long_stops
+        :: Alcotest.test_case "deletion matches the literal set" `Quick
+             test_drat_deletion_matches_set
+        :: Alcotest.test_case "identical copies deleted one at a time" `Quick
+             test_drat_identical_copies
+        :: Alcotest.test_case "binary-watcher unit persists" `Quick
+             test_drat_binary_unit_persists
+        :: Alcotest.test_case "work counters" `Quick test_drat_work_counters
         :: Alcotest.test_case "is_rup" `Quick test_is_rup
         :: Alcotest.test_case "is_rat" `Quick test_is_rat
+        :: Alcotest.test_case "corrupted refutations: checkers agree" `Quick
+             test_drat_mutation_differential
         :: Alcotest.test_case "proof parse round trip" `Quick
              test_proof_parse_roundtrip
         :: qtests
