@@ -12,11 +12,16 @@ type ladder = {
   upper : int;
   cnf_hash : int64;
   mutable queries : int;
+  (* what the session knows: the fewest-colour proper colouring found so
+     far, and the largest width proved uncolourable *)
+  mutable best : G.Coloring.t;
+  mutable refuted : int;
 }
 
 let prepare ?(strategy = Strategy.best_single) graph =
   let lower = max 1 (G.Clique.lower_bound graph) in
-  let upper = max lower (G.Greedy.upper_bound graph) in
+  let greedy = G.Greedy.dsatur graph in
+  let upper = max lower (G.Coloring.num_colors greedy) in
   let csp = E.Csp.make graph ~k:upper in
   let encoded =
     E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
@@ -54,6 +59,8 @@ let prepare ?(strategy = Strategy.best_single) graph =
     upper;
     cnf_hash = Sat.Cnf.structural_hash encoded.E.Csp_encode.cnf;
     queries = 0;
+    best = greedy;
+    refuted = lower - 1;
   }
 
 let bounds ladder = (ladder.lower, ladder.upper)
@@ -66,27 +73,47 @@ let cnf_size ladder =
   let cnf = ladder.encoded.E.Csp_encode.cnf in
   (Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
 
+let best_k ladder = G.Coloring.num_colors ladder.best
+
 let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   if width < 1 then invalid_arg "Incremental_width.query: width < 1";
-  (* the formula is sized at the DSATUR upper bound; any larger width is
-     equivalent (a colouring within [upper] colours fits it a fortiori) *)
-  let w = min width ladder.upper in
-  ladder.queries <- ladder.queries + 1;
-  let assumptions =
-    List.init (ladder.upper - w) (fun i ->
-        Sat.Lit.pos ladder.selectors.(w + i))
-  in
-  match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
-  | Sat.Solver.Q_unsat -> `Uncolorable
-  | Sat.Solver.Q_unknown -> `Timeout
-  | Sat.Solver.Q_memout -> `Memout
-  | Sat.Solver.Q_sat model ->
-      let coloring = E.Csp_encode.decode ladder.encoded model in
-      if not (E.Csp.solution_ok ladder.csp coloring) then
-        raise
-          (Flow.Decode_mismatch
-             "incremental query: decoded colouring is not proper")
-      else `Colorable coloring
+  let best_k = best_k ladder in
+  if width >= best_k then `Colorable (Array.copy ladder.best)
+  else if width <= ladder.refuted then `Uncolorable
+  else begin
+    (* the solver cannot improve on [best] above [best_k - 1]: switch those
+       colours off for good (a colour already off is a no-op), so the query
+       at [best_k - 1] needs no assumption and learnt clauses never carry
+       their selectors *)
+    for c = best_k - 1 to ladder.upper - 1 do
+      Sat.Solver.assert_unit ladder.solver (Sat.Lit.pos ladder.selectors.(c))
+    done;
+    ladder.queries <- ladder.queries + 1;
+    let assumptions =
+      List.init (best_k - 1 - width) (fun i ->
+          Sat.Lit.pos ladder.selectors.(width + i))
+    in
+    match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
+    | Sat.Solver.Q_unsat ->
+        ladder.refuted <- width;
+        `Uncolorable
+    | Sat.Solver.Q_unknown -> `Timeout
+    | Sat.Solver.Q_memout -> `Memout
+    | Sat.Solver.Q_sat model ->
+        let coloring = E.Csp_encode.decode ladder.encoded model in
+        if
+          (not (E.Csp.solution_ok ladder.csp coloring))
+          || G.Coloring.num_colors coloring > width
+        then
+          raise
+            (Flow.Decode_mismatch
+               "incremental query: decoded colouring is not proper within the \
+                width")
+        else begin
+          ladder.best <- coloring;
+          `Colorable (Array.copy coloring)
+        end
+  end
 
 type search_result = {
   w_min : int;
@@ -97,25 +124,17 @@ type search_result = {
 }
 
 let walk_down ?(budget = Sat.Solver.no_budget) ladder =
-  (* a model using fewer colours lets the walk skip widths *)
-  let rec walk w best =
-    if w < ladder.lower then
-      match best with
-      | Some coloring -> Ok (w + 1, coloring)
-      | None -> Error "internal error: no colouring recorded"
+  (* each query at [best_k - 1] either refutes it or shrinks [best] *)
+  let rec walk () =
+    let w = best_k ladder - 1 in
+    if w <= ladder.refuted then Ok (w + 1, Array.copy ladder.best)
     else
       match query ~budget ladder ~width:w with
-      | `Uncolorable -> (
-          match best with
-          | Some coloring -> Ok (w + 1, coloring)
-          | None -> Error "DSATUR width came out uncolourable")
+      | `Uncolorable | `Colorable _ -> walk ()
       | `Timeout -> Error "budget exhausted during width search"
       | `Memout -> Error "memory budget exhausted during width search"
-      | `Colorable coloring ->
-          let used = G.Coloring.num_colors coloring in
-          walk (min (w - 1) (used - 1)) (Some coloring)
   in
-  walk ladder.upper None
+  walk ()
 
 let minimal_colors ?strategy ?budget graph =
   match prepare ?strategy graph with

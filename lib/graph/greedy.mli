@@ -11,7 +11,9 @@ val sequential : ?order:int list -> Graph.t -> Coloring.t
 
 val dsatur : Graph.t -> Coloring.t
 (** Brélaz's DSATUR: always colour the vertex with the highest saturation
-    (number of distinct colours among neighbours), ties by degree. *)
+    (number of distinct colours among neighbours), ties by highest degree,
+    then lowest index; each vertex takes its smallest free colour.
+    O((n + m) log n): saturations are updated as neighbours are coloured. *)
 
 val upper_bound : Graph.t -> int
 (** Colours used by DSATUR — an upper bound on the chromatic number. *)

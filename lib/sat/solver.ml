@@ -1038,6 +1038,21 @@ let run_search s budget assumptions =
 let solve_with ?(budget = no_budget) ?(assumptions = []) s =
   run_search s budget assumptions
 
+let assert_unit s l =
+  let st = s.st in
+  if st.proof <> None then
+    invalid_arg "Solver.assert_unit: the solver records a DRAT proof";
+  if Lit.var l < 0 || Lit.var l >= st.nvars then
+    invalid_arg "Solver.assert_unit: variable out of range";
+  cancel_until st 0;
+  if st.ok then
+    match value_lit st l with
+    | 1 -> ()
+    | -1 -> st.ok <- false
+    | _ ->
+        enqueue st l Clause.cref_undef;
+        if propagate st <> Clause.cref_undef then st.ok <- false
+
 let solve ?(config = default) ?(budget = no_budget) ?proof cnf =
   let s = create ~config ?proof cnf in
   let result =

@@ -150,6 +150,16 @@ val solve_with :
     formula alone may still be satisfiable with other assumptions. The
     budget applies per call. *)
 
+val assert_unit : solver -> Lit.t -> unit
+(** [assert_unit s l] adds the unit clause [l] to the solver's formula for
+    good: it backtracks to level 0, assigns [l] there and propagates. Unlike
+    an assumption, the unit opens no decision level in later queries, so
+    learnt clauses do not carry it. A level-0 conflict (now or on a later
+    propagation) makes every later {!solve_with} answer [Q_unsat]. Raises
+    [Invalid_argument] on a solver that records a DRAT proof (an input
+    clause added mid-trace would make the proof unsound) and on a variable
+    out of range. *)
+
 val solver_stats : solver -> Stats.t
 (** Cumulative over all queries. *)
 

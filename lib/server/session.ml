@@ -1,5 +1,4 @@
 module Sat = Fpgasat_sat
-module G = Fpgasat_graph
 module F = Fpgasat_fpga
 module C = Fpgasat_core
 module Obs = Fpgasat_obs
@@ -9,9 +8,6 @@ type t = {
   strategy : C.Strategy.t;
   route : F.Global_route.t;
   ladder : C.Incremental_width.ladder;
-  greedy : G.Coloring.t;
-  lower : int;
-  upper : int;
   cnf_vars : int;
   cnf_clauses : int;
   cnf_hash : int64;
@@ -23,16 +19,12 @@ type t = {
 let create ~benchmark strategy (inst : F.Benchmarks.instance) =
   let t0 = Unix.gettimeofday () in
   let ladder = C.Incremental_width.prepare ~strategy inst.F.Benchmarks.graph in
-  let lower, upper = C.Incremental_width.bounds ladder in
   let cnf_vars, cnf_clauses = C.Incremental_width.cnf_size ladder in
   {
     benchmark;
     strategy;
     route = inst.F.Benchmarks.route;
     ladder;
-    greedy = G.Greedy.dsatur inst.F.Benchmarks.graph;
-    lower;
-    upper;
     cnf_vars;
     cnf_clauses;
     cnf_hash = C.Incremental_width.cnf_hash ladder;
@@ -44,7 +36,7 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
 let benchmark t = t.benchmark
 let strategy t = t.strategy
 let route t = t.route
-let bounds t = (t.lower, t.upper)
+let bounds t = C.Incremental_width.bounds t.ladder
 let served t = t.served
 let prepare_seconds t = t.prepare_seconds
 
@@ -107,47 +99,34 @@ let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false) t ~width =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       t.served <- t.served + 1;
-      if width >= t.upper then
-        (* the DSATUR colouring already fits: answer without touching the
-           solver *)
-        match F.Detailed_route.of_coloring t.route ~width t.greedy with
-        | Ok detailed ->
-            make_run t ~width ~solving:0. ~stats:(Sat.Stats.create ())
-              ~telemetry_words:0 (C.Flow.Routable detailed) ~telemetry
-        | Error violation ->
-            raise
-              (C.Flow.Decode_mismatch
-                 (Format.asprintf "greedy colouring rejected: %a"
-                    F.Detailed_route.pp_violation violation))
-      else begin
-        let before = snapshot (C.Incremental_width.stats t.ladder) in
-        let alloc0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        let answer = C.Incremental_width.query ~budget t.ladder ~width in
-        let solving = Unix.gettimeofday () -. t0 in
-        let words =
-          int_of_float
-            ((Gc.allocated_bytes () -. alloc0)
-            /. float_of_int (Sys.word_size / 8))
-        in
-        let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
-        let outcome =
-          match answer with
-          | `Colorable coloring -> (
-              match F.Detailed_route.of_coloring t.route ~width coloring with
-              | Ok detailed -> C.Flow.Routable detailed
-              | Error violation ->
-                  raise
-                    (C.Flow.Decode_mismatch
-                       (Format.asprintf "detailed routing rejected: %a"
-                          F.Detailed_route.pp_violation violation)))
-          | `Uncolorable -> C.Flow.Unroutable
-          | `Timeout -> C.Flow.Timeout
-          | `Memout -> C.Flow.Memout
-        in
-        make_run t ~width ~solving ~stats ~telemetry_words:words outcome
-          ~telemetry
-      end)
+      (* widths the ladder has already decided come back without a solver
+         call, and with an all-zero statistics delta *)
+      let before = snapshot (C.Incremental_width.stats t.ladder) in
+      let alloc0 = Gc.allocated_bytes () in
+      let t0 = Unix.gettimeofday () in
+      let answer = C.Incremental_width.query ~budget t.ladder ~width in
+      let solving = Unix.gettimeofday () -. t0 in
+      let words =
+        int_of_float
+          ((Gc.allocated_bytes () -. alloc0) /. float_of_int (Sys.word_size / 8))
+      in
+      let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
+      let outcome =
+        match answer with
+        | `Colorable coloring -> (
+            match F.Detailed_route.of_coloring t.route ~width coloring with
+            | Ok detailed -> C.Flow.Routable detailed
+            | Error violation ->
+                raise
+                  (C.Flow.Decode_mismatch
+                     (Format.asprintf "detailed routing rejected: %a"
+                        F.Detailed_route.pp_violation violation)))
+        | `Uncolorable -> C.Flow.Unroutable
+        | `Timeout -> C.Flow.Timeout
+        | `Memout -> C.Flow.Memout
+      in
+      make_run t ~width ~solving ~stats ~telemetry_words:words outcome
+        ~telemetry)
 
 let min_width ?budget t =
   Mutex.lock t.mutex;

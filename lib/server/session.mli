@@ -3,9 +3,10 @@
     A session wraps a {!Fpgasat_core.Incremental_width.ladder} built from
     the benchmark's conflict graph: the first request pays the encode
     (plus selector construction and solver creation); every later width
-    query is an assumption-only call on the persistent solver, reusing its
-    learnt clauses. Sessions are the reason repeated queries through the
-    server beat cold [fpgasat route] invocations.
+    query is answered from what the ladder knows or by one call on the
+    persistent solver, reusing its learnt clauses. Sessions are the reason
+    repeated queries through the server beat cold [fpgasat route]
+    invocations.
 
     A session serialises its own solver access with an internal mutex, so
     any number of server workers may hold the same session; queries on one
@@ -19,8 +20,9 @@ val create :
   Fpgasat_core.Strategy.t ->
   Fpgasat_fpga.Benchmarks.instance ->
   t
-(** The cold part: builds the ladder (encode at the DSATUR upper bound)
-    and the greedy colouring used to answer [width ≥ upper] instantly. *)
+(** The cold part: builds the ladder (one DSATUR run, one encode at its
+    bound). The session keeps no colouring of its own: the ladder's [best]
+    answers every width it covers. *)
 
 val benchmark : t -> string
 val strategy : t -> Fpgasat_core.Strategy.t
@@ -53,12 +55,14 @@ val route_warm :
     {!Fpgasat_core.Flow.run} whose solver statistics are this query's
     {e delta} (cumulative counters snapshotted around the call);
     [timings.to_graph] and [timings.to_cnf] are 0 — the session already
-    paid them. Widths at or above the DSATUR upper bound are answered from
-    the stored greedy colouring without touching the solver. Raises
+    paid them. Widths the ladder has already decided (at or above its best
+    colouring, at or below its largest refuted width) come back without a
+    solver call and with an all-zero statistics delta. Raises
     {!Fpgasat_core.Flow.Decode_mismatch} on a decode failure (isolated by
     the server's worker pool). *)
 
 val min_width :
   ?budget:Fpgasat_sat.Solver.budget -> t -> (int, string) result
 (** Minimal width by {!Fpgasat_core.Incremental_width.walk_down} on the
-    warm ladder, without re-encoding. The budget applies per query. *)
+    warm ladder, without re-encoding; free once earlier requests have
+    decided [w_min] and [w_min - 1]. The budget applies per query. *)

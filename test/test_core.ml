@@ -144,8 +144,10 @@ let search_small () =
 let test_min_width_minimal () =
   let r = search_small () in
   Min_width_check.verify ~route:small_route ~graph:small_graph r;
-  Alcotest.(check bool) "made some queries" true
-    (r.C.Incremental_width.queries >= 1)
+  (* small_graph's clique bound equals its DSATUR bound (4): both W and
+     W - 1 are decided before any solver call *)
+  Alcotest.(check int) "clique-tight: no solver query" 0
+    r.C.Incremental_width.queries
 
 let test_min_width_budget_error () =
   let spec = Option.get (F.Benchmarks.find "C1355") in
@@ -187,52 +189,72 @@ let minimal_colors_ok graph =
   | Ok r -> r
   | Error m -> Alcotest.fail m
 
+(* Mycielski's graph of C5 (Grötzsch): triangle-free, chromatic number 4,
+   so the clique bound (2) leaves the ladder real work *)
+let groetzsch =
+  G.Graph.of_edges 11
+    (List.init 5 (fun i -> (i, (i + 1) mod 5))
+    @ List.concat
+        (List.init 5 (fun i ->
+             [ (5 + i, (i + 1) mod 5); (5 + i, (i + 4) mod 5); (5 + i, 10) ])))
+
 let test_walk_down_on_warm_ladder () =
   (* the walk the server runs on its kept ladder: a second walk on the same
-     (warm) solver answers the same w_min, and a fresh search agrees *)
-  let ladder = C.Incremental_width.prepare small_graph in
-  let walk () =
-    match C.Incremental_width.walk_down ladder with
-    | Ok (w, coloring) ->
-        Alcotest.(check bool) "colouring proper" true
-          (G.Coloring.is_proper small_graph ~k:w coloring);
-        w
-    | Error m -> Alcotest.fail m
-  in
-  let first = walk () in
-  let after_first = C.Incremental_width.queries ladder in
-  let second = walk () in
-  Alcotest.(check int) "warm walk repeats its answer" first second;
-  Alcotest.(check bool) "second walk queried again" true
-    (C.Incremental_width.queries ladder > after_first);
-  let lower, upper = C.Incremental_width.bounds ladder in
-  Alcotest.(check bool) "w_min within bounds" true
-    (lower <= first && first <= upper);
-  let r = search_small () in
-  Alcotest.(check int) "fresh search agrees" r.C.Incremental_width.w_min first;
-  Alcotest.(check int) "fresh search makes the same queries" after_first
-    r.C.Incremental_width.queries
+     (warm) solver answers the same w_min from what the ladder knows, and a
+     fresh search agrees *)
+  List.iter
+    (fun (name, graph) ->
+      let ladder = C.Incremental_width.prepare graph in
+      let walk () =
+        match C.Incremental_width.walk_down ladder with
+        | Ok (w, coloring) ->
+            Alcotest.(check bool) (name ^ ": colouring proper") true
+              (G.Coloring.is_proper graph ~k:w coloring);
+            w
+        | Error m -> Alcotest.fail m
+      in
+      let first = walk () in
+      (match G.Exact_coloring.chromatic_number graph with
+      | G.Exact_coloring.Exact k ->
+          Alcotest.(check int) (name ^ ": w_min is the chromatic number") k first
+      | G.Exact_coloring.Bounds _ -> Alcotest.fail "exact colouring undecided");
+      let after_first = C.Incremental_width.queries ladder in
+      let second = walk () in
+      Alcotest.(check int) (name ^ ": warm walk repeats its answer") first second;
+      Alcotest.(check int) (name ^ ": second walk makes no new query")
+        after_first
+        (C.Incremental_width.queries ladder);
+      let lower, upper = C.Incremental_width.bounds ladder in
+      Alcotest.(check bool) (name ^ ": w_min within bounds") true
+        (lower <= first && first <= upper);
+      let r = minimal_colors_ok graph in
+      Alcotest.(check int) (name ^ ": fresh search agrees")
+        r.C.Incremental_width.w_min first;
+      Alcotest.(check int) (name ^ ": fresh search makes the same queries")
+        after_first r.C.Incremental_width.queries)
+    [ ("small_graph", small_graph); ("C7", odd_cycle 7); ("Groetzsch", groetzsch) ]
 
 let test_min_width_clique_tight () =
-  (* K4: clique bound = DSATUR bound = 4, so one query settles it and
-     W - 1 is impossible structurally *)
+  (* K4: clique bound = DSATUR bound = 4, so the DSATUR colouring settles
+     W and W - 1 is impossible structurally: no solver query at all *)
   let k4 = complete_graph 4 in
   let r = minimal_colors_ok k4 in
   Alcotest.(check int) "w_min" 4 r.C.Incremental_width.w_min;
   Alcotest.(check int) "lower bound" 4 r.C.Incremental_width.lower_bound;
-  Alcotest.(check int) "one query" 1 r.C.Incremental_width.queries;
+  Alcotest.(check int) "no solver query" 0 r.C.Incremental_width.queries;
   Alcotest.(check bool) "proper" true
     (G.Coloring.is_proper k4 ~k:4 r.C.Incremental_width.coloring)
 
 let test_min_width_odd_cycle_refuted_by_sat () =
-  (* C5: clique bound 2, chromatic number 3, so W - 1 = 2 must be refuted
-     by a SAT query rather than by the clique bound *)
+  (* C5: clique bound 2, chromatic number 3 = the DSATUR bound, so W - 1 = 2
+     must be refuted by a SAT query rather than by the clique bound, and
+     that refutation is the only query *)
   let c5 = odd_cycle 5 in
   let r = minimal_colors_ok c5 in
   Alcotest.(check int) "w_min" 3 r.C.Incremental_width.w_min;
   Alcotest.(check int) "lower bound" 2 r.C.Incremental_width.lower_bound;
-  Alcotest.(check bool) "W - 1 was queried" true
-    (r.C.Incremental_width.queries >= 2);
+  Alcotest.(check int) "W - 1 was the one query" 1
+    r.C.Incremental_width.queries;
   Alcotest.(check bool) "proper" true
     (G.Coloring.is_proper c5 ~k:3 r.C.Incremental_width.coloring)
 
@@ -273,6 +295,162 @@ let test_incremental_other_encodings () =
                inc.C.Incremental_width.coloring)
       | Error m -> Alcotest.fail (sname ^ ": " ^ m))
     [ "muldirect"; "log/s1"; "ITE-log/b1"; "direct-3+muldirect/s1@minisat" ]
+
+let mycielskian g =
+  let n = G.Graph.num_vertices g in
+  let m = G.Graph.create ((2 * n) + 1) in
+  G.Graph.iter_edges
+    (fun u v ->
+      G.Graph.add_edge m u v;
+      G.Graph.add_edge m (n + u) v;
+      G.Graph.add_edge m u (n + v))
+    g;
+  for u = 0 to n - 1 do
+    G.Graph.add_edge m (n + u) (2 * n)
+  done;
+  m
+
+(* The narrowing ladder against the exact chromatic number, over random
+   graphs and random query sequences. Seeded from [QCHECK_SEED] when set,
+   else from a fixed default; every failure names the seed. *)
+let ladder_seed () =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | None | Some "" -> 20080310
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n -> n
+      | None -> Alcotest.fail ("QCHECK_SEED is not an integer: " ^ s))
+
+let work (s : Sat.Stats.t) =
+  (s.decisions, s.propagations, s.conflicts, s.restarts, s.learnt_clauses)
+
+let test_narrowing_ladder_property () =
+  let seed = ladder_seed () in
+  let rng = Random.State.make [| seed |] in
+  let strategies =
+    List.map strategy
+      [ "muldirect/s1@siege"; "log"; "ITE-linear-2+muldirect/s1"; "direct@siege" ]
+  in
+  let total = ref 0 and solved = ref 0 and timeouts = ref 0 in
+  for trial = 0 to 299 do
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Alcotest.fail (Printf.sprintf "QCHECK_SEED=%d trial %d: %s" seed trial m))
+        fmt
+    in
+    let random_graph n =
+      let density = 0.2 +. Random.State.float rng 0.7 in
+      let g = G.Graph.create n in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Random.State.float rng 1.0 < density then G.Graph.add_edge g u v
+        done
+      done;
+      g
+    in
+    let chromatic g =
+      match G.Exact_coloring.chromatic_number g with
+      | G.Exact_coloring.Exact k -> k
+      | G.Exact_coloring.Bounds _ -> fail "exact colouring undecided"
+    in
+    (* plain random graphs mostly have clique bound = DSATUR bound =
+       chromatic number, which leaves the solver nothing to do. So one
+       trial in three draws 12-vertex graphs until DSATUR overshoots (about
+       one in forty does), which puts the first solver query at a
+       colourable width; one in three takes the Mycielskian of a small
+       graph, which raises the chromatic number by one and keeps the clique
+       number (at least 2) *)
+    let rec dsatur_overshoots tries =
+      let g = random_graph 12 in
+      if tries = 0 || G.Greedy.upper_bound g > chromatic g then g
+      else dsatur_overshoots (tries - 1)
+    in
+    let g =
+      match trial mod 3 with
+      | 0 -> dsatur_overshoots 1000
+      | 1 -> mycielskian (random_graph (2 + Random.State.int rng 4))
+      | _ -> random_graph (1 + Random.State.int rng 12)
+    in
+    let chi = chromatic g in
+    let strat =
+      List.nth strategies (Random.State.int rng (List.length strategies))
+    in
+    let ladder = C.Incremental_width.prepare ~strategy:strat g in
+    let lower, upper = C.Incremental_width.bounds ladder in
+    (* what the ladder should know: the fewest colours it has returned and
+       the largest width it has refuted *)
+    let best_k = ref upper and refuted = ref (lower - 1) in
+    let steps = 2 + Random.State.int rng 6 in
+    let timed = Random.State.int rng steps in
+    let width = ref (1 + Random.State.int rng (upper + 2)) in
+    for step = 0 to steps - 1 do
+      (* repeats, single steps up and down, and jumps anywhere in
+         [1, upper + 2] *)
+      let open_band = !best_k - !refuted > 1 in
+      let in_band () =
+        (* a width the ladder cannot answer yet *)
+        !refuted + 1 + Random.State.int rng (!best_k - !refuted - 1)
+      in
+      (width :=
+         match Random.State.int rng 6 with
+         | _ when step = timed && open_band -> in_band ()
+         | 0 -> !width
+         | 1 -> max 1 (!width - 1)
+         | 2 -> !width + 1
+         | (3 | 4) when open_band -> in_band ()
+         | _ -> 1 + Random.State.int rng (upper + 2));
+      let w = !width in
+      let known = w >= !best_k || w <= !refuted in
+      let queries0 = C.Incremental_width.queries ladder in
+      let work0 = work (C.Incremental_width.stats ladder) in
+      let budget =
+        if step = timed then Sat.Solver.conflict_budget 1
+        else Sat.Solver.no_budget
+      in
+      let answer = C.Incremental_width.query ~budget ladder ~width:w in
+      let asked = C.Incremental_width.queries ladder - queries0 in
+      incr total;
+      if known then begin
+        if asked <> 0 then fail "width %d was known, yet the solver ran" w;
+        if work (C.Incremental_width.stats ladder) <> work0 then
+          fail "width %d was known, yet solver counters moved" w
+      end
+      else begin
+        if asked <> 1 then fail "width %d made %d solver queries" w asked;
+        incr solved
+      end;
+      match answer with
+      | `Colorable c ->
+          if w < chi then fail "width %d coloured below chi = %d" w chi;
+          if not (G.Coloring.is_proper g ~k:w c) then
+            fail "width %d colouring not proper within the width" w;
+          best_k := min !best_k (G.Coloring.num_colors c)
+      | `Uncolorable ->
+          if w >= chi then fail "width %d refuted but chi = %d" w chi;
+          refuted := max !refuted w
+      | `Timeout ->
+          if step <> timed then fail "width %d timed out unbudgeted" w;
+          incr timeouts
+      | `Memout -> fail "width %d: memout" w
+    done;
+    match C.Incremental_width.walk_down ladder with
+    | Ok (w_min, c) ->
+        if w_min <> chi then fail "walk_down gave %d, chi = %d" w_min chi;
+        if not (G.Coloring.is_proper g ~k:w_min c) then
+          fail "walk_down colouring not proper"
+    | Error m -> fail "walk_down: %s" m
+  done;
+  (* the property must not pass on memo answers alone *)
+  Alcotest.(check bool)
+    (Printf.sprintf "QCHECK_SEED=%d: %d of %d queries reached the solver" seed
+       !solved !total)
+    true
+    (6 * !solved >= !total);
+  Alcotest.(check bool)
+    (Printf.sprintf "QCHECK_SEED=%d: %d queries timed out mid-sequence" seed
+       !timeouts)
+    true (!timeouts >= 10)
 
 let test_solver_assumptions_basic () =
   (* (x0 | x1) with assumption -x0 forces x1; assuming both negative is
@@ -373,6 +551,8 @@ let () =
             test_query_rejects_width_zero;
           Alcotest.test_case "query above upper bound" `Quick
             test_query_above_upper_bound;
+          Alcotest.test_case "narrowing ladder = exact chromatic number" `Quick
+            test_narrowing_ladder_property;
         ] );
       ( "report",
         [

@@ -119,6 +119,70 @@ let test_clique_bounds () =
   Alcotest.(check int) "clique size" 3 (List.length clique);
   Alcotest.(check int) "empty graph" 0 (G.Clique.lower_bound (Graph.create 0))
 
+(* The list-based DSATUR [Greedy.dsatur] replaced: saturation recomputed
+   by [List.sort_uniq] on every pick. The fast version must pick the same
+   vertices and colours. *)
+let reference_dsatur g =
+  let n = Graph.num_vertices g in
+  let coloring = Array.make n (-1) in
+  let adjacent_colors = Array.make n [] in
+  let saturation v = List.length (List.sort_uniq compare adjacent_colors.(v)) in
+  let smallest_free used =
+    let rec go c = if List.mem c used then go (c + 1) else c in
+    go 0
+  in
+  let pick () =
+    let best = ref (-1) in
+    for v = 0 to n - 1 do
+      if coloring.(v) < 0 then
+        if !best < 0 then best := v
+        else
+          let sv = saturation v and sb = saturation !best in
+          if sv > sb || (sv = sb && Graph.degree g v > Graph.degree g !best) then
+            best := v
+    done;
+    !best
+  in
+  let rec loop () =
+    let v = pick () in
+    if v >= 0 then begin
+      let c = smallest_free adjacent_colors.(v) in
+      coloring.(v) <- c;
+      List.iter
+        (fun w -> adjacent_colors.(w) <- c :: adjacent_colors.(w))
+        (Graph.neighbors g v);
+      loop ()
+    end
+  in
+  loop ();
+  coloring
+
+let test_dsatur_matches_reference_on_benchmarks () =
+  List.iter
+    (fun spec ->
+      let inst = Fpgasat_fpga.Benchmarks.build spec in
+      let g = inst.Fpgasat_fpga.Benchmarks.graph in
+      Alcotest.(check (array int))
+        spec.Fpgasat_fpga.Benchmarks.name (reference_dsatur g) (G.Greedy.dsatur g))
+    Fpgasat_fpga.Benchmarks.specs
+
+let test_dsatur_matches_reference_on_random () =
+  (* seeded: sparse to dense graphs, 0 to 60 vertices *)
+  let rng = Random.State.make [| 2008 |] in
+  for trial = 1 to 300 do
+    let n = Random.State.int rng 61 in
+    let density = Random.State.float rng 1.0 in
+    let g = Graph.create n in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Random.State.float rng 1.0 < density then Graph.add_edge g u v
+      done
+    done;
+    Alcotest.(check (array int))
+      (Printf.sprintf "trial %d (n = %d)" trial n)
+      (reference_dsatur g) (G.Greedy.dsatur g)
+  done
+
 let prop_clique_le_dsatur =
   QCheck2.Test.make ~count:300 ~name:"clique lower bound <= DSATUR upper bound"
     QCheck2.Gen.(
@@ -351,6 +415,10 @@ let () =
         :: Alcotest.test_case "dsatur exact on small" `Quick test_dsatur_triangle_exact
         :: Alcotest.test_case "custom order" `Quick test_greedy_custom_order
         :: Alcotest.test_case "clique bounds" `Quick test_clique_bounds
+        :: Alcotest.test_case "dsatur = reference on benchmarks" `Quick
+             test_dsatur_matches_reference_on_benchmarks
+        :: Alcotest.test_case "dsatur = reference on random graphs" `Quick
+             test_dsatur_matches_reference_on_random
         :: qtests [ prop_clique_le_dsatur; prop_clique_is_clique; prop_dsatur_proper ]
       );
       ( "dimacs-col",

@@ -667,6 +667,95 @@ let test_solver_stats_accumulate () =
   Alcotest.(check bool) "first call worked" true (after_first > 0);
   Alcotest.(check int) "second call free" after_first after_second
 
+(* --- permanent level-0 units --- *)
+
+let query_name = function
+  | Solver.Q_sat _ -> "sat"
+  | Solver.Q_unsat -> "unsat"
+  | Solver.Q_unknown -> "unknown"
+  | Solver.Q_memout -> "memout"
+
+let test_unit_persists () =
+  let cnf = cnf_of 2 [ [ 1; 2 ] ] in
+  let solver = Solver.create cnf in
+  Solver.assert_unit solver (Lit.of_dimacs (-1));
+  let expect_model what =
+    match Solver.solve_with solver with
+    | Solver.Q_sat m ->
+        Alcotest.(check bool) (what ^ ": x1 stays false") false m.(0);
+        Alcotest.(check bool) (what ^ ": x2 forced") true m.(1)
+    | q -> Alcotest.fail (what ^ ": expected sat, got " ^ query_name q)
+  in
+  expect_model "first call";
+  expect_model "second call";
+  (* an assumption against the unit fails the query, not the formula *)
+  Alcotest.(check string) "assumption x1 refuted" "unsat"
+    (query_name (Solver.solve_with ~assumptions:[ Lit.of_dimacs 1 ] solver));
+  expect_model "after a failed assumption";
+  (* asserting a unit already true at level 0 changes nothing *)
+  Solver.assert_unit solver (Lit.of_dimacs 2);
+  expect_model "after a satisfied unit"
+
+let test_unit_conflict_is_final () =
+  (* ~x2 propagates x1 through (x1 | x2) and falsifies (~x1 | x2) *)
+  let cnf = cnf_of 3 [ [ 1; 2 ]; [ -1; 2 ] ] in
+  let solver = Solver.create cnf in
+  Alcotest.(check string) "sat before" "sat" (query_name (Solver.solve_with solver));
+  Solver.assert_unit solver (Lit.of_dimacs (-2));
+  List.iter
+    (fun assumptions ->
+      Alcotest.(check string) "unsat for good" "unsat"
+        (query_name (Solver.solve_with ~assumptions solver)))
+    [ []; [ Lit.of_dimacs 2 ]; [ Lit.of_dimacs 3 ]; [] ];
+  (* a unit against an earlier unit is a level-0 conflict too *)
+  let solver = Solver.create (cnf_of 2 [ [ 1; 2 ] ]) in
+  Solver.assert_unit solver (Lit.of_dimacs 2);
+  Solver.assert_unit solver (Lit.of_dimacs (-2));
+  Alcotest.(check string) "opposite units" "unsat"
+    (query_name (Solver.solve_with solver))
+
+let test_unit_rejected_with_proof () =
+  let cnf = cnf_of 2 [ [ 1; 2 ] ] in
+  let solver = Solver.create ~proof:(Proof.create ()) cnf in
+  Alcotest.check_raises "proof-logging solver"
+    (Invalid_argument "Solver.assert_unit: the solver records a DRAT proof")
+    (fun () -> Solver.assert_unit solver (Lit.of_dimacs 1));
+  let solver = Solver.create cnf in
+  Alcotest.check_raises "variable out of range"
+    (Invalid_argument "Solver.assert_unit: variable out of range")
+    (fun () -> Solver.assert_unit solver (Lit.pos 9))
+
+(* Solve, assert a unit, solve again: each answer must agree with a fresh
+   solver on the CNF plus the units asserted so far. Seeded random 3-CNFs
+   near the threshold give both verdicts. *)
+let test_units_match_fresh_solver () =
+  let seed = 2008 in
+  let answers = Hashtbl.create 2 in
+  for trial = 0 to 149 do
+    let rng = Random.State.make [| seed; trial |] in
+    let cnf = random_3cnf rng in
+    let nvars = Cnf.num_vars cnf in
+    let solver = Solver.create cnf in
+    ignore (Solver.solve_with solver);
+    let units = ref [] in
+    for round = 1 to 2 do
+      let l = Lit.make (Random.State.int rng nvars) (Random.State.bool rng) in
+      units := l :: !units;
+      Solver.assert_unit solver l;
+      let augmented = Cnf.copy cnf in
+      List.iter (fun u -> Cnf.add_clause augmented [ u ]) !units;
+      let what = Printf.sprintf "seed %d trial %d round %d" seed trial round in
+      match (Solver.solve_with solver, fst (Solver.solve augmented)) with
+      | Solver.Q_sat m, Solver.Sat _ ->
+          Hashtbl.replace answers "sat" ();
+          Alcotest.(check bool) (what ^ ": model") true
+            (Solver.check_model augmented m)
+      | Solver.Q_unsat, Solver.Unsat -> Hashtbl.replace answers "unsat" ()
+      | q, _ -> Alcotest.fail (what ^ ": incremental said " ^ query_name q)
+    done
+  done;
+  Alcotest.(check int) "both verdicts seen" 2 (Hashtbl.length answers)
+
 (* --- WalkSAT --- *)
 
 let test_walksat_finds_model () =
@@ -770,6 +859,13 @@ let () =
         :: Alcotest.test_case "out of range rejected" `Quick
           test_assumptions_out_of_range_rejected
         :: Alcotest.test_case "stats accumulate" `Quick test_solver_stats_accumulate
+        :: Alcotest.test_case "level-0 unit persists" `Quick test_unit_persists
+        :: Alcotest.test_case "level-0 unit conflict is final" `Quick
+             test_unit_conflict_is_final
+        :: Alcotest.test_case "level-0 unit rejected with a proof" `Quick
+             test_unit_rejected_with_proof
+        :: Alcotest.test_case "level-0 units match a fresh solver" `Quick
+             test_units_match_fresh_solver
         :: qtests
              [ prop_assumptions_match_unit_clauses; prop_solver_reusable_across_queries ]
       );

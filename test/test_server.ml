@@ -631,6 +631,27 @@ let test_warm_agrees_with_cold () =
   let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
   let lower, upper = Srv.Session.bounds session in
   Alcotest.(check bool) "bounds sane" true (1 <= lower && lower <= upper);
+  (* a query two below the best known colouring (the DSATUR one, on a
+     fresh session) is the one that still assumes a selector: the
+     max_decision_level watermark must count that assumption level even
+     when no free decision happens (it used to track only free decisions,
+     reading 0 on assumption-driven queries) *)
+  let fresh = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+  let w = upper - 2 in
+  Alcotest.(check bool) "two below the DSATUR bound is open" true (w >= lower);
+  let warm = Srv.Session.route_warm fresh ~width:w in
+  let cold =
+    C.Flow.(submit (default_request |> with_strategy strat))
+      alu2.F.Benchmarks.route ~width:w
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "width %d verdict" w)
+    (C.Flow.outcome_name cold.C.Flow.outcome)
+    (C.Flow.outcome_name warm.C.Flow.outcome);
+  Alcotest.(check bool)
+    (Printf.sprintf "width %d assumption level counted" w)
+    true
+    (warm.C.Flow.solver_stats.Sat.Stats.max_decision_level >= 1);
   (* probe a band of widths around the transition *)
   let widths =
     List.filter (fun w -> w >= 1) [ upper + 1; upper; upper - 1; upper - 2 ]
@@ -651,10 +672,8 @@ let test_warm_agrees_with_cold () =
       Alcotest.(check bool) "warm timings amortised" true
         (warm.C.Flow.timings.C.Flow.to_graph = 0.
         && warm.C.Flow.timings.C.Flow.to_cnf = 0.);
-      (* below the greedy bound the ladder drives the solver through
-         assumption selector levels; the max_decision_level watermark must
-         count them even when no free decision happens (it used to track
-         only free decisions, reading 0 on assumption-driven queries) *)
+      (* below the greedy bound the ladder runs the solver; the
+         max_decision_level watermark is cumulative over the session *)
       (match warm.C.Flow.outcome with
       | (C.Flow.Routable _ | C.Flow.Unroutable) when w < upper ->
           Alcotest.(check bool)
