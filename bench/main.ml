@@ -1,6 +1,11 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
+(* Benchmark harness: regenerates every table and figure of the paper and
+   holds the perf contract (--encode-bench, --bench-out/--baseline,
+   --scaling). Robustness harnesses live in the tests: the chaos supervisor
+   invariants in test/test_chaos.ml, the certified differential fuzz in
+   test/test_certify.ml.
 
-   Sections (all run by default; select with --sections):
+   Sections (all run by default; select with --sections, an unknown name
+   is an error):
      table1     clause sets of the log / direct / muldirect encodings on the
                 paper's 2-vertex, 3-colour worked example (Table 1)
      figure1    the four ITE trees for a 13-value domain (Fig. 1a-d)
@@ -14,10 +19,11 @@
      portfolio  the 2- and 3-strategy parallel portfolios (Sect. 6)
      ablations  at-most-one (direct vs muldirect) and shared-vs-private
                 bottom variables (DESIGN.md decisions 1-2)
-     certify    watched-literal DRAT checker vs the quadratic reference
-                checker on a bench-sized proof, plus a differential fuzz
-                sweep (CDCL vs DPLL vs exact colouring, certified) across
-                every registry encoding
+     baselines  the SAT flow vs exact branch-and-bound colouring (UNSAT)
+                and DSATUR (routable) — the Sect. 1 context
+     extensions three-level hierarchical encodings (Sect. 4)
+     incremental  minimal-width search on one incremental solver
+     channel    segmented-channel routing, the second domain (ref. [17])
 
    --bechamel adds micro-benchmarks (one Bechamel Test.make per
    table/figure): clause emission, tree construction, translation-to-CNF
@@ -59,8 +65,13 @@ module Sweep = Eng.Sweep
 module Run_record = Eng.Run_record
 
 let budget_seconds = ref 30.
-let sections = ref
-    "table1,figure1,table2,routable,solvers,portfolio,ablations,baselines,extensions,incremental,channel,certify"
+let section_names =
+  [
+    "table1"; "figure1"; "table2"; "routable"; "solvers"; "portfolio";
+    "ablations"; "baselines"; "extensions"; "incremental"; "channel";
+  ]
+
+let sections = ref (String.concat "," section_names)
 let with_bechamel = ref false
 let encode_bench_only = ref false
 let jobs = ref 1
@@ -68,8 +79,6 @@ let emission = ref "flat"
 let out_file = ref ""
 let resume = ref false
 let certify = ref false
-let chaos = ref false
-let chaos_seed = ref 2008
 let bench_out = ref ""
 let baseline_file = ref ""
 let gate = ref 0.
@@ -85,7 +94,7 @@ let scaling_strategies = ref "ITE-linear-2+muldirect/s1,muldirect/s1"
 
 let usage =
   "main.exe [--budget SEC] [--sections a,b,c] [--jobs N] [--out FILE.jsonl] \
-   [--resume] [--certify] [--chaos] [--chaos-seed N] [--bechamel] \
+   [--resume] [--certify] [--bechamel] \
    [--encode-bench] [--bench-out FILE.json] [--baseline FILE.json] \
    [--gate RATIO] [--perf-handicap N] [--scaling] [--scaling-grid smoke|full] \
    [--scaling-out FILE.json] [--scaling-baseline FILE.json] \
@@ -96,7 +105,9 @@ let arg_spec =
     ("--budget", Arg.Set_float budget_seconds, "SEC per-cell time budget (default 30)");
     ( "--sections",
       Arg.Set_string sections,
-      "LIST comma-separated sections (default: all paper sections)" );
+      "LIST comma-separated sections out of "
+      ^ String.concat "," section_names
+      ^ " (default: all)" );
     ("--jobs", Arg.Set_int jobs, "N worker domains for the matrix sections (default 1)");
     ( "--emission",
       Arg.Set_string emission,
@@ -111,13 +122,6 @@ let arg_spec =
       Arg.Set certify,
       " independently certify every decisive cell of the matrix sections \
        (DRAT check on UNSAT, model + architecture check on SAT)" );
-    ( "--chaos",
-      Arg.Set chaos,
-      " run the chaos-harness robustness section: inject every fault kind \
-       into a seeded sweep and check the supervisor's invariants" );
-    ( "--chaos-seed",
-      Arg.Set_int chaos_seed,
-      "N seed of the deterministic chaos plan (default 2008)" );
     ("--bechamel", Arg.Set with_bechamel, " also run the Bechamel micro-benchmarks");
     ( "--encode-bench",
       Arg.Set encode_bench_only,
@@ -650,18 +654,18 @@ let section_ablations () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Baselines: SAT vs exact CSP search vs BDD vs DSATUR vs WalkSAT      *)
+(* Baselines: SAT vs exact CSP search vs DSATUR                        *)
 
 let section_baselines () =
   print_string
     (Report.section
-       "Baselines: SAT flow vs exact CSP search vs BDD vs greedy (Sect. 1 context)");
+       "Baselines: SAT flow vs exact CSP search vs greedy (Sect. 1 context)");
   print_endline
     "UNSAT columns (width = w_min - 1): the SAT flow vs DSATUR-ordered\n\
-     branch-and-bound (node budget 100k) vs the BDD-era approach (node limit\n\
-     1M). SAT column = ITE-linear-2+muldirect/s1. DSATUR and WalkSAT appear\n\
-     in the routable columns (width = w_min); neither can prove\n\
-     unroutability — the contrast the paper draws.\n";
+     branch-and-bound (node budget 100k). SAT column =\n\
+     ITE-linear-2+muldirect/s1. DSATUR appears in the routable columns\n\
+     (width = w_min); it cannot prove unroutability — the contrast the\n\
+     paper draws.\n";
   let benches = Lazy.force prepared in
   let rows =
     List.map
@@ -682,13 +686,6 @@ let section_baselines () =
               | G.Exact_coloring.Colorable _ -> "?!"
               | G.Exact_coloring.Exhausted -> "give-up ")
         in
-        let bdd_tag, bdd_t =
-          time (fun () ->
-              match Fpgasat_bdd.Coloring_bdd.k_colorable ~max_nodes:1_000_000 graph ~k:(w - 1) with
-              | Fpgasat_bdd.Coloring_bdd.Uncolorable -> ""
-              | Fpgasat_bdd.Coloring_bdd.Colorable _ -> "?!"
-              | Fpgasat_bdd.Coloring_bdd.Node_limit -> "blow-up ")
-        in
         (* routable side *)
         let sat_routable = cell_text (run_cell ~width_delta:0 pb Strategy.best_single) in
         let dsatur_tag, dsatur_t =
@@ -696,26 +693,12 @@ let section_baselines () =
               let c = G.Greedy.dsatur graph in
               if G.Coloring.num_colors c <= w then "" else Printf.sprintf "W=%d " (G.Coloring.num_colors c))
         in
-        let walksat_tag, walksat_t =
-          time (fun () ->
-              let csp = E.Csp.make graph ~k:w in
-              let encoded = E.Csp_encode.encode (encoding "muldirect") csp in
-              let params =
-                { Sat.Walksat.default_params with Sat.Walksat.max_tries = 5;
-                  max_flips = 100_000 }
-              in
-              match Sat.Walksat.solve ~params encoded.E.Csp_encode.cnf with
-              | Sat.Walksat.Sat _, _ -> ""
-              | Sat.Walksat.Unknown, _ -> "give-up ")
-        in
         [
           bench_name pb;
           sat_cell;
           bnb_tag ^ Report.format_seconds bnb_t;
-          bdd_tag ^ Report.format_seconds bdd_t;
           sat_routable;
           dsatur_tag ^ Report.format_seconds dsatur_t;
-          walksat_tag ^ Report.format_seconds walksat_t;
         ])
       benches
   in
@@ -723,13 +706,12 @@ let section_baselines () =
     (Report.render_table
        ~header:
          [
-           "Benchmark"; "SAT unsat"; "B&B unsat"; "BDD unsat"; "SAT route";
-           "DSATUR route"; "WalkSAT route";
+           "Benchmark"; "SAT unsat"; "B&B unsat"; "SAT route"; "DSATUR route";
          ]
        rows);
   print_endline
-    "('give-up' = budget exhausted without an answer; 'blow-up' = BDD node\n\
-     limit; DSATUR cells marked W=x needed more than w_min tracks)\n"
+    "('give-up' = node budget exhausted without an answer; DSATUR cells\n\
+     marked W=x needed more than w_min tracks)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extensions: multi-level hierarchies                                *)
@@ -914,302 +896,6 @@ let section_bechamel () =
   in
   print_string (Report.render_table ~header:[ "micro-benchmark"; "ns/run" ] rows);
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Certification                                                        *)
-
-(* Two parts. (a) Checker speedup: solve the unroutable alu2 configuration
-   once with proof recording, then time the watched-literal checker against
-   the quadratic reference checker on the same trace — the before/after
-   number quoted in EXPERIMENTS.md. (b) Differential fuzz: on random small
-   routes, every registry encoding must agree with plain DPLL on the CNF
-   and with exact branch-and-bound colouring on the conflict graph, and
-   every decisive answer must certify. *)
-let section_certify () =
-  print_string (Report.section "Certification: watched-literal DRAT checker");
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* (a) speedup on a bench-sized proof *)
-  let spec = Option.get (F.Benchmarks.find "alu2") in
-  let inst = F.Benchmarks.build spec in
-  let width = max 1 (search_w_min inst - 1) in
-  let strat = Strategy.best_single in
-  let csp =
-    E.Csp.make (F.Conflict_graph.build inst.F.Benchmarks.route) ~k:width
-  in
-  let encoded =
-    E.Csp_encode.encode ?symmetry:strat.Strategy.symmetry
-      strat.Strategy.encoding csp
-  in
-  let cnf = encoded.E.Csp_encode.cnf in
-  let proof = Sat.Proof.create () in
-  (match Sat.Solver.solve ~config:strat.Strategy.solver ~proof cnf with
-  | Sat.Solver.Unsat, _ -> ()
-  | _ -> failwith "expected alu2 below w_min to be UNSAT");
-  let checked, fast_s = time (fun () -> Sat.Drat_check.check cnf proof) in
-  let stats =
-    match checked with
-    | Ok s -> s
-    | Error e ->
-        failwith (Format.asprintf "checker rejected: %a" Sat.Drat_check.pp_error e)
-  in
-  let ref_result, ref_s =
-    time (fun () -> Sat.Drat_check.check_reference cnf proof)
-  in
-  (match ref_result with
-  | Ok () -> ()
-  | Error e ->
-      failwith
-        (Format.asprintf "reference checker rejected: %a" Sat.Drat_check.pp_error
-           e));
-  Printf.printf
-    "alu2 W=%d (%d vars, %d clauses, %d proof steps):\n\
-    \  watched-literal checker: %.3fs\n\
-    \  reference checker:       %.3fs  (%.1fx speedup)\n"
-    width (Sat.Cnf.num_vars cnf) (Sat.Cnf.num_clauses cnf)
-    (Sat.Proof.num_steps proof) fast_s ref_s (ref_s /. fast_s);
-  Format.printf "  %a@." Sat.Drat_check.pp_stats stats;
-  (* (b) differential fuzz across the registry *)
-  let cells = ref 0 and certified = ref 0 and mismatches = ref 0 in
-  for seed = 1 to 5 do
-    let arch = F.Arch.create 4 in
-    let rng = F.Rng.create (100 + seed) in
-    let nl =
-      F.Netlist.random ~rng ~arch ~num_nets:(6 + (seed mod 5)) ~max_fanout:2
-        ~locality:2
-    in
-    let route = F.Global_router.route arch nl in
-    let graph = F.Conflict_graph.build route in
-    let ub = G.Greedy.upper_bound graph in
-    let widths = List.sort_uniq compare [ max 1 (ub - 1); ub ] in
-    List.iter
-      (fun enc ->
-        let strat = Strategy.make enc in
-        List.iter
-          (fun width ->
-            incr cells;
-            let run =
-              Flow.(
-                submit
-                  (default_request |> with_strategy strat |> with_certify true))
-                route ~width
-            in
-            if run.Flow.certified = Some true then incr certified;
-            let csp = E.Csp.make graph ~k:width in
-            let encoded =
-              E.Csp_encode.encode ?symmetry:strat.Strategy.symmetry
-                strat.Strategy.encoding csp
-            in
-            let dpll =
-              Sat.Dpll.solve ~max_decisions:2_000_000 encoded.E.Csp_encode.cnf
-            in
-            let exact = G.Exact_coloring.k_colorable graph ~k:width in
-            let sat_answer =
-              match run.Flow.outcome with
-              | Flow.Routable _ -> Some true
-              | Flow.Unroutable -> Some false
-              | Flow.Timeout | Flow.Memout -> None
-            in
-            let dpll_answer =
-              match dpll with
-              | Sat.Dpll.Sat _ -> Some true
-              | Sat.Dpll.Unsat -> Some false
-              | Sat.Dpll.Unknown -> None
-            in
-            let exact_answer =
-              match exact with
-              | G.Exact_coloring.Colorable _ -> Some true
-              | G.Exact_coloring.Uncolorable -> Some false
-              | G.Exact_coloring.Exhausted -> None
-            in
-            let agree a b =
-              match (a, b) with Some x, Some y -> x = y | _ -> true
-            in
-            if
-              not
-                (agree sat_answer dpll_answer
-                && agree sat_answer exact_answer
-                && agree dpll_answer exact_answer)
-            then begin
-              incr mismatches;
-              Printf.printf
-                "MISMATCH seed=%d %s W=%d: cdcl=%s dpll=%s exact=%s\n" seed
-                (Strategy.name strat) width
-                (Flow.outcome_name run.Flow.outcome)
-                (match dpll_answer with
-                | Some true -> "sat"
-                | Some false -> "unsat"
-                | None -> "unknown")
-                (match exact_answer with
-                | Some true -> "colorable"
-                | Some false -> "uncolorable"
-                | None -> "exhausted")
-            end)
-          widths)
-      E.Registry.all
-  done;
-  Printf.printf
-    "differential fuzz: %d cells across %d encodings, %d certified, %d \
-     mismatches\n"
-    !cells
-    (List.length E.Registry.all)
-    !certified !mismatches;
-  if !mismatches > 0 then failwith "solver/DPLL/exact-colouring disagreement"
-
-(* ------------------------------------------------------------------ *)
-(* Chaos harness (robustness check, not a paper section)                *)
-
-(* Injects every fault kind into a table2-style queue through a seeded
-   deterministic plan (Fpgasat_engine.Chaos) and checks the supervisor's
-   promises: the sweep never aborts, every cell yields exactly one
-   classified record, memory-faulted cells end cooperatively as M/O while
-   the process survives, and a resume over the same queue re-runs at most
-   the records the torn-tail faults destroyed. Any violation raises, so CI
-   can run this section as a smoke test. *)
-let section_chaos () =
-  print_string
-    (Report.section "Chaos harness: sweep supervisor under injected faults");
-  let benches = Lazy.force prepared in
-  let cols =
-    List.filteri (fun i _ -> i < 7) (List.map strategy_of_column table2_columns)
-  in
-  let cells =
-    List.concat_map
-      (fun pb ->
-        List.map
-          (fun strat ->
-            Sweep.cell ~benchmark:(bench_name pb) strat
-              pb.inst.F.Benchmarks.route ~width:(pb.w_min - 1))
-          cols)
-      benches
-  in
-  let heap_mb =
-    (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / (1024 * 1024)
-  in
-  let ceiling = heap_mb + 256 in
-  let plan = Eng.Chaos.make ~seed:!chaos_seed ~cells:(List.length cells) in
-  let described = Eng.Chaos.described plan in
-  let faulted = List.length (List.filter (fun (_, f) -> f <> None) described) in
-  let torn =
-    List.length (List.filter (fun (_, f) -> f = Some "torn_tail") described)
-  in
-  Printf.printf
-    "seed %d: %d cells (%d benchmarks x %d strategies at w_min-1), %d \
-     faulted;\nheap %d MB, memory ceiling %d MB, retry x2 with fallback \
-     presets.\n\n"
-    !chaos_seed (List.length cells) (List.length benches) (List.length cols)
-    faulted heap_mb ceiling;
-  let out = Filename.temp_file "fpgasat_chaos" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ out; out ^ ".lock" ])
-    (fun () ->
-      let config =
-        {
-          (sweep_config ()) with
-          Sweep.jobs = 1;
-          poll_every = 1;
-          out = Some out;
-          resume = true;
-          certify = true;
-          capture_backtrace = true;
-          max_memory_mb = Some ceiling;
-          retry =
-            {
-              Sweep.max_attempts = 2;
-              escalation = 2.0;
-              fallback_presets = true;
-            };
-        }
-      in
-      let records =
-        match Sweep.run config (Eng.Chaos.inject ~out plan cells) with
-        | r -> r
-        | exception e ->
-            failwith
-              ("CHAOS VIOLATION: sweep aborted: " ^ Printexc.to_string e)
-      in
-      if List.length records <> List.length cells then
-        failwith "CHAOS VIOLATION: record count differs from cell count";
-      let unclassified =
-        List.filter
-          (fun (r : Run_record.t) ->
-            (not (Run_record.decisive r)) && r.Run_record.failure = None)
-          records
-      in
-      if unclassified <> [] then
-        failwith
-          (Printf.sprintf
-             "CHAOS VIOLATION: %d non-decisive records carry no failure \
-              classification"
-             (List.length unclassified));
-      (* fault kind x outcome matrix *)
-      let kinds =
-        "healthy"
-        :: Array.to_list (Array.map Eng.Chaos.fault_name Eng.Chaos.all_kinds)
-      in
-      let outcomes = [ "routable"; "unroutable"; "timeout"; "memout"; "crashed" ] in
-      let count = Hashtbl.create 32 in
-      List.iteri
-        (fun i (r : Run_record.t) ->
-          let kind =
-            match Eng.Chaos.fault plan i with
-            | None -> "healthy"
-            | Some f -> Eng.Chaos.fault_name f
-          in
-          let o =
-            match r.Run_record.outcome with
-            | Run_record.Crashed _ -> "crashed"
-            | o -> Run_record.outcome_name o
-          in
-          let key = (kind, o) in
-          Hashtbl.replace count key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt count key)))
-        records;
-      print_string
-        (Report.matrix ~corner:"fault \\ outcome" ~rows:kinds ~cols:outcomes
-           ~cell:(fun ~row ~col ->
-             match Hashtbl.find_opt count (row, col) with
-             | Some n -> string_of_int n
-             | None -> ".")
-           ());
-      let on_disk, bad = Sweep.load out in
-      Printf.printf
-        "\n%s\nresults file: %d records parsed, %d torn lines (%d torn-tail \
-         faults injected)\n"
-        (Sweep.summary records) (List.length on_disk) bad torn;
-      if bad > torn then
-        failwith "CHAOS VIOLATION: more torn lines than torn-tail faults";
-      (* resume over the same queue with the faults removed: every surviving
-         record must be trusted, so at most the records destroyed by torn
-         tails (the torn line plus the record glued onto it) may re-run *)
-      let reran = Hashtbl.create 16 in
-      let counted =
-        List.map
-          (fun (j : Sweep.job) ->
-            {
-              j with
-              Sweep.run =
-                (fun ~budget ~certify ~telemetry ~fallback ->
-                  (* one mark per cell, not per attempt *)
-                  Hashtbl.replace reran
-                    (j.Sweep.benchmark, j.Sweep.strategy, j.Sweep.width) ();
-                  j.Sweep.run ~budget ~certify ~telemetry ~fallback);
-            })
-          cells
-      in
-      let again = Sweep.run config counted in
-      let reran = Hashtbl.length reran in
-      Printf.printf "resume: %d/%d cells re-ran (torn budget %d)\n" reran
-        (List.length again) (2 * torn);
-      if reran > 2 * torn then
-        failwith "CHAOS VIOLATION: resume re-ran cells whose records survived";
-      print_endline "chaos harness: all supervisor invariants held\n")
 
 (* ------------------------------------------------------------------ *)
 (* Encode+load throughput on the largest bundled configuration          *)
@@ -1613,6 +1299,18 @@ let () =
       prerr_endline
         (Printf.sprintf "--emission: expected flat, defs or both, got %S" other);
       exit 2);
+  (match
+     List.filter
+       (fun name -> not (List.mem name section_names))
+       (String.split_on_char ',' !sections)
+   with
+  | [] -> ()
+  | unknown ->
+      prerr_endline
+        (Printf.sprintf "--sections: unknown section(s) %s; valid: %s"
+           (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+           (String.concat "," section_names));
+      exit 2);
   if !encode_bench_only then begin
     section_encode_bench ();
     exit 0
@@ -1650,7 +1348,5 @@ let () =
   if section_enabled "extensions" then section_extensions ();
   if section_enabled "incremental" then section_incremental ();
   if section_enabled "channel" then section_channel ();
-  if section_enabled "certify" then section_certify ();
-  if !chaos then section_chaos ();
   if !with_bechamel then section_bechamel ();
   Printf.printf "total harness wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -15,7 +15,6 @@ module G = Fpgasat_graph
 module E = Fpgasat_encodings
 module F = Fpgasat_fpga
 module C = Fpgasat_core
-module Bdd = Fpgasat_bdd
 module Eng = Fpgasat_engine
 module Obs = Fpgasat_obs
 module Srv = Fpgasat_server
@@ -1104,10 +1103,9 @@ let color_cmd =
   in
   let method_arg =
     Arg.(value
-         & opt (enum [ ("sat", `Sat); ("exact", `Exact); ("bdd", `Bdd);
-                       ("walksat", `Walksat) ]) `Sat
+         & opt (enum [ ("sat", `Sat); ("exact", `Exact) ]) `Sat
          & info [ "method" ] ~docv:"M"
-             ~doc:"sat (encode + CDCL), exact (branch and bound), bdd, or walksat.")
+             ~doc:"sat (encode + CDCL) or exact (branch and bound).")
   in
   let run file k enc sym budget method_ =
     match G.Dimacs_col.parse_file file with
@@ -1118,25 +1116,23 @@ let color_cmd =
           Printf.printf "COLORABLE with %d colours\n" k;
           Array.iteri (fun v c -> Printf.printf "  %d -> %d\n" v c) coloring
         in
-        let sat_based use_walksat =
-          let symmetry =
-            Option.map
-              (fun s ->
-                match E.Symmetry.of_name s with
-                | Some h -> h
-                | None -> failwith (Printf.sprintf "unknown heuristic %S" s))
-              sym
-          in
-          let csp = E.Csp.make graph ~k in
-          let encoded = E.Csp_encode.encode ?symmetry enc csp in
-          if use_walksat then
-            match Sat.Walksat.solve encoded.E.Csp_encode.cnf with
-            | Sat.Walksat.Sat model, flips ->
-                print_coloring (E.Csp_encode.decode encoded model);
-                Printf.printf "(%d flips)\n" flips
-            | Sat.Walksat.Unknown, _ ->
-                print_endline "UNKNOWN (local search found no model)"
-          else
+        (match method_ with
+        | `Exact -> (
+            match G.Exact_coloring.k_colorable graph ~k with
+            | G.Exact_coloring.Colorable c -> print_coloring c
+            | G.Exact_coloring.Uncolorable -> Printf.printf "NOT %d-colourable\n" k
+            | G.Exact_coloring.Exhausted -> print_endline "UNKNOWN (node budget)")
+        | `Sat -> (
+            let symmetry =
+              Option.map
+                (fun s ->
+                  match E.Symmetry.of_name s with
+                  | Some h -> h
+                  | None -> failwith (Printf.sprintf "unknown heuristic %S" s))
+                sym
+            in
+            let csp = E.Csp.make graph ~k in
+            let encoded = E.Csp_encode.encode ?symmetry enc csp in
             let result, _ =
               Sat.Solver.solve ~budget:(budget_of budget) encoded.E.Csp_encode.cnf
             in
@@ -1144,25 +1140,7 @@ let color_cmd =
             | Sat.Solver.Sat model -> print_coloring (E.Csp_encode.decode encoded model)
             | Sat.Solver.Unsat -> Printf.printf "NOT %d-colourable\n" k
             | Sat.Solver.Unknown -> print_endline "UNKNOWN (budget exhausted)"
-            | Sat.Solver.Memout -> print_endline "UNKNOWN (memory budget exhausted)"
-        in
-        (match method_ with
-        | `Exact -> (
-            match G.Exact_coloring.k_colorable graph ~k with
-            | G.Exact_coloring.Colorable c -> print_coloring c
-            | G.Exact_coloring.Uncolorable -> Printf.printf "NOT %d-colourable\n" k
-            | G.Exact_coloring.Exhausted -> print_endline "UNKNOWN (node budget)")
-        | `Bdd -> (
-            match Bdd.Coloring_bdd.k_colorable graph ~k with
-            | Bdd.Coloring_bdd.Colorable c ->
-                print_coloring c;
-                (match Bdd.Coloring_bdd.count_colorings graph ~k with
-                | Some count -> Printf.printf "proper colourings: %.0f\n" count
-                | None -> ())
-            | Bdd.Coloring_bdd.Uncolorable -> Printf.printf "NOT %d-colourable\n" k
-            | Bdd.Coloring_bdd.Node_limit -> print_endline "UNKNOWN (BDD node limit)")
-        | `Sat -> sat_based false
-        | `Walksat -> sat_based true);
+            | Sat.Solver.Memout -> print_endline "UNKNOWN (memory budget exhausted)"));
         `Ok ()
   in
   Cmd.v

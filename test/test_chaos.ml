@@ -560,13 +560,20 @@ let test_plan_deterministic_and_covering () =
   Alcotest.(check (option string)) "out of range is healthy" None
     (Option.map Chaos.fault_name (Chaos.fault p1 50))
 
-let chaos_sweep_invariants ~seed =
+(* The supervisor's promises under a seeded plan over [cells]. [base]
+   supplies the retry policy and backtrace capture; the harness fixes the
+   rest (one worker, a results file, resume, certification, a memory
+   ceiling and a 5 s budget). *)
+let chaos_sweep_invariants ~base ~seed cells =
   with_temp_file (fun path ->
-      let cells = unsat_cells 8 in
       let plan = Chaos.make ~seed ~cells:(List.length cells) in
+      let torn_faults =
+        List.length
+          (List.filter (fun (_, f) -> f = Some "torn_tail") (Chaos.described plan))
+      in
       let config =
         {
-          no_io with
+          base with
           Sweep.jobs = 1;
           out = Some path;
           resume = true;
@@ -576,6 +583,7 @@ let chaos_sweep_invariants ~seed =
           budget_seconds = Some 5.0;
         }
       in
+      let max_attempts = config.Sweep.retry.Sweep.max_attempts in
       let records =
         match Sweep.run config (Chaos.inject ~out:path plan cells) with
         | r -> r
@@ -588,20 +596,58 @@ let chaos_sweep_invariants ~seed =
         (List.length records);
       List.iter2
         (fun (j : Sweep.job) (r : Run_record.t) ->
-          Alcotest.(check string) "job order kept" j.Sweep.benchmark
-            r.Run_record.benchmark;
+          Alcotest.(check (pair string string)) "job order kept"
+            (j.Sweep.benchmark, j.Sweep.strategy)
+            (r.Run_record.benchmark, r.Run_record.strategy);
+          let decisive = Run_record.decisive r in
           (* every non-decisive ending is classified; decisive ones are not *)
-          match r.Run_record.outcome with
+          (match r.Run_record.outcome with
           | Run_record.Routable | Run_record.Unroutable ->
               Alcotest.(check (option string)) "decisive: no failure tag" None
                 r.Run_record.failure
           | Run_record.Timeout | Run_record.Memout | Run_record.Crashed _ -> (
               match r.Run_record.failure with
               | Some _ -> ()
-              | None -> Alcotest.fail "fault left an unclassified record"))
+              | None -> Alcotest.fail "fault left an unclassified record"));
+          (* a retrying sweep counts attempts and quarantines the cells
+             that failed every one; a single-attempt sweep does neither *)
+          if max_attempts > 1 then begin
+            (match r.Run_record.attempts with
+            | Some n when n >= 1 && n <= max_attempts -> ()
+            | _ -> Alcotest.fail "retrying sweep: attempts missing or out of range");
+            Alcotest.(check bool) "quarantined iff every attempt failed"
+              (not decisive) r.Run_record.quarantined;
+            if not decisive then
+              Alcotest.(check (option int)) "failed cells spent every attempt"
+                (Some max_attempts) r.Run_record.attempts
+          end
+          else
+            Alcotest.(check (pair (option int) bool))
+              "single attempt: no attempts field, no quarantine" (None, false)
+              (r.Run_record.attempts, r.Run_record.quarantined);
+          match r.Run_record.outcome with
+          | Run_record.Crashed _ when config.Sweep.capture_backtrace ->
+              Alcotest.(check bool) "crash carries its backtrace" true
+                (r.Run_record.backtrace <> None)
+          | _ -> ())
         cells records;
-      (* a resume over the same queue is idempotent: the file answers it *)
-      let counter = Atomic.make 0 in
+      (* each Torn_tail fault tears at most one line on disk *)
+      let on_disk, torn_lines = Sweep.load path in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d torn lines on disk, at most %d torn_tail faults"
+           torn_lines torn_faults)
+        true
+        (torn_lines <= torn_faults);
+      (* a resume over the same queue re-runs exactly the cells whose
+         records the tears destroyed; the file answers the rest *)
+      let key (j : Sweep.job) = (j.Sweep.benchmark, j.Sweep.strategy) in
+      let survived =
+        List.map
+          (fun (r : Run_record.t) ->
+            (r.Run_record.benchmark, r.Run_record.strategy))
+          on_disk
+      in
+      let reran = Hashtbl.create 8 in
       let counted =
         List.map
           (fun (j : Sweep.job) ->
@@ -609,7 +655,8 @@ let chaos_sweep_invariants ~seed =
               j with
               Sweep.run =
                 (fun ~budget ~certify ~telemetry ~fallback ->
-                  Atomic.incr counter;
+                  (* one mark per cell, not per attempt *)
+                  Hashtbl.replace reran (key j) ();
                   j.Sweep.run ~budget ~certify ~telemetry ~fallback);
             })
           cells
@@ -617,23 +664,51 @@ let chaos_sweep_invariants ~seed =
       let again = Sweep.run config counted in
       Alcotest.(check int) "resume answers from the file"
         (List.length records) (List.length again);
+      List.iter
+        (fun j ->
+          let benchmark, strategy = key j in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s re-ran iff its record was lost" benchmark
+               strategy)
+            (not (List.mem (key j) survived))
+            (Hashtbl.mem reran (key j)))
+        cells;
       (* every Torn_tail fault can cost up to two records: the line it
-         tears plus the faulted cell's own record glued onto the torn line;
-         everything still recorded must be skipped *)
-      let torn_budget =
-        2
-        * List.length
-            (List.filter
-               (fun (_, f) -> f = Some "torn_tail")
-               (Chaos.described plan))
-      in
+         tears plus the faulted cell's own record glued onto the torn line *)
+      let torn_budget = 2 * torn_faults in
       Alcotest.(check bool)
         (Printf.sprintf "at most %d torn cells re-ran (%d did)" torn_budget
-           (Atomic.get counter))
+           (Hashtbl.length reran))
         true
-        (Atomic.get counter <= torn_budget))
+        (Hashtbl.length reran <= torn_budget))
 
-let test_chaos_sweep_invariants () = chaos_sweep_invariants ~seed:7
+let test_chaos_sweep_invariants () =
+  chaos_sweep_invariants ~base:no_io ~seed:7 (unsat_cells 8)
+
+(* The CI seed: the first seven Table 2 strategies on the small instance,
+   under two attempts with budget escalation, the minisat fallback rung
+   and crash backtraces. *)
+let test_chaos_seed_2008_with_fallback () =
+  let cells =
+    List.map
+      (fun name ->
+        Sweep.cell ~benchmark:"small"
+          (Result.get_ok (Strategy.of_name (name ^ "@siege")))
+          small_route ~width:unsat_width)
+      [
+        "muldirect"; "muldirect/b1"; "muldirect/s1"; "ITE-linear/b1";
+        "ITE-linear/s1"; "ITE-log/b1"; "ITE-log/s1";
+      ]
+  in
+  let base =
+    {
+      no_io with
+      Sweep.retry =
+        { Sweep.max_attempts = 2; escalation = 2.0; fallback_presets = true };
+      capture_backtrace = true;
+    }
+  in
+  chaos_sweep_invariants ~base ~seed:2008 cells
 
 let chaos_plan_prop =
   QCheck2.Test.make ~count:200 ~name:"chaos plans are deterministic and total"
@@ -659,7 +734,7 @@ let chaos_supervisor_prop =
     ~name:"supervisor invariants hold under random chaos plans"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
-      chaos_sweep_invariants ~seed;
+      chaos_sweep_invariants ~base:no_io ~seed (unsat_cells 8);
       true)
 
 (* ---------- suite ---------- *)
@@ -721,6 +796,8 @@ let () =
             test_plan_deterministic_and_covering;
           Alcotest.test_case "sweep invariants under seed 7" `Quick
             test_chaos_sweep_invariants;
+          Alcotest.test_case "seed 2008 with retry and fallback" `Quick
+            test_chaos_seed_2008_with_fallback;
         ] );
       ("properties", qtests);
     ]

@@ -130,6 +130,30 @@ let test_ite_balanced_depths () =
         (Ite.paths t))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 13; 16; 21 ]
 
+(* Hand-built trees: [well_formed] rejects a slot repeated along one path
+   but allows the same slot in sibling subtrees, and a bare leaf needs no
+   slot at all. *)
+let test_ite_hand_built () =
+  let leaf = Ite.Leaf 0 in
+  Alcotest.(check (pair int int)) "bare leaf: no slots, one leaf" (0, 1)
+    (Ite.num_slots leaf, Ite.num_leaves leaf);
+  Alcotest.(check (list (pair int (list (pair int bool)))))
+    "bare leaf: empty pattern" [ (0, []) ] (Ite.paths leaf);
+  let siblings =
+    Ite.Node (0, Ite.Node (1, Leaf 0, Leaf 1), Ite.Node (1, Leaf 2, Leaf 3))
+  in
+  Alcotest.(check bool) "slot shared across siblings" true
+    (Ite.well_formed siblings);
+  Alcotest.(check (list (pair int bool))) "pattern of value 2"
+    [ (0, false); (1, true) ]
+    (List.assoc 2 (Ite.paths siblings));
+  let repeated =
+    Ite.Node (0, Ite.Node (1, Leaf 0, Ite.Node (0, Leaf 1, Leaf 2)), Leaf 3)
+  in
+  Alcotest.(check bool) "slot repeated on a path" false (Ite.well_formed repeated);
+  Alcotest.(check int) "slots count 1 + max slot, not distinct slots" 6
+    (Ite.num_slots (Ite.Node (5, Leaf 0, Leaf 1)))
+
 let test_ite_render_nonempty () =
   let s = Ite.render (Ite.balanced 5) in
   Alcotest.(check bool) "render mentions last leaf" true (contains s "v4")
@@ -796,6 +820,7 @@ let () =
           Alcotest.test_case "linear patterns" `Quick test_ite_linear_patterns;
           Alcotest.test_case "balanced depths" `Quick test_ite_balanced_depths;
           Alcotest.test_case "render" `Quick test_ite_render_nonempty;
+          Alcotest.test_case "hand-built trees" `Quick test_ite_hand_built;
         ] );
       ( "fig1d",
         [

@@ -10,6 +10,7 @@ module C = Fpgasat_core
 module Eng = Fpgasat_engine
 module Json = Fpgasat_obs.Json
 module Pool = Eng.Pool
+module Lockfile = Eng.Lockfile
 module Run_record = Eng.Run_record
 module Sweep = Eng.Sweep
 module P = Eng.Portfolio
@@ -595,6 +596,101 @@ let test_portfolio_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Portfolio.run: empty")
     (fun () -> ignore (P.run [] small_route ~width:2))
 
+(* ---------- Lockfile ---------- *)
+
+(* A temp path whose lock is always released, so a failing case cannot
+   leave a lock behind for the next one. *)
+let with_lock_target f =
+  with_temp_file (fun path ->
+      Fun.protect ~finally:(fun () -> Lockfile.release path) (fun () -> f path))
+
+let lock_holder path =
+  String.trim
+    (In_channel.with_open_text (Lockfile.lock_path path) In_channel.input_all)
+
+let plant_lock path contents =
+  Out_channel.with_open_text (Lockfile.lock_path path) (fun oc ->
+      Out_channel.output_string oc contents)
+
+let lock_held path = Sys.file_exists (Lockfile.lock_path path)
+let own_pid () = string_of_int (Unix.getpid ())
+
+let test_lock_records_own_pid () =
+  with_lock_target (fun path ->
+      Alcotest.(check string) "sibling lock file" (path ^ ".lock")
+        (Lockfile.lock_path path);
+      Lockfile.acquire path;
+      Alcotest.(check string) "holds this process's pid" (own_pid ())
+        (lock_holder path))
+
+let test_lock_excludes_live_holder () =
+  with_lock_target (fun path ->
+      Lockfile.acquire path;
+      (match Lockfile.acquire path with
+      | () -> Alcotest.fail "a second writer in the same process got the lock"
+      | exception Sys_error m ->
+          Alcotest.(check bool) "error names the holder's pid" true
+            (contains ~needle:(own_pid ()) m));
+      Alcotest.(check string) "the first holder keeps the lock" (own_pid ())
+        (lock_holder path))
+
+let test_lock_release_idempotent () =
+  with_lock_target (fun path ->
+      Lockfile.acquire path;
+      Lockfile.release path;
+      Alcotest.(check bool) "lock file removed" false (lock_held path);
+      (* a vanished lock is fine *)
+      Lockfile.release path;
+      Lockfile.acquire path;
+      Alcotest.(check bool) "reacquired after release" true (lock_held path))
+
+let test_with_lock_releases_on_exception () =
+  with_lock_target (fun path ->
+      (match
+         Lockfile.with_lock path (fun () ->
+             Alcotest.(check bool) "held inside" true (lock_held path);
+             failwith "boom")
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Failure m ->
+          Alcotest.(check string) "the exception passes through" "boom" m);
+      Alcotest.(check bool) "released after the exception" false
+        (lock_held path);
+      Alcotest.(check int) "the body's value is returned" 42
+        (Lockfile.with_lock path (fun () -> 42));
+      Alcotest.(check bool) "released after a normal return" false
+        (lock_held path))
+
+let test_lock_reclaims_dead_holder () =
+  with_lock_target (fun path ->
+      (* above any pid the kernel hands out *)
+      plant_lock path "999999999";
+      Lockfile.acquire path;
+      Alcotest.(check string) "reclaimed for this process" (own_pid ())
+        (lock_holder path))
+
+let test_lock_reclaims_unreadable_holder () =
+  with_lock_target (fun path ->
+      List.iter
+        (fun contents ->
+          plant_lock path contents;
+          Lockfile.acquire path;
+          Alcotest.(check string)
+            (Printf.sprintf "%S reclaimed" contents)
+            (own_pid ()) (lock_holder path);
+          Lockfile.release path)
+        [ ""; "not a pid"; "12 34" ])
+
+let test_locks_are_per_path () =
+  with_lock_target (fun a ->
+      with_lock_target (fun b ->
+          Lockfile.acquire a;
+          Lockfile.acquire b;
+          Lockfile.release a;
+          Alcotest.(check (pair bool bool)) "releasing one keeps the other"
+            (false, true)
+            (lock_held a, lock_held b)))
+
 (* ---------- suite ---------- *)
 
 let qtests =
@@ -656,6 +752,21 @@ let () =
           Alcotest.test_case "members agree" `Quick test_portfolio_members_agree;
           Alcotest.test_case "parallel" `Quick test_portfolio_parallel;
           Alcotest.test_case "empty rejected" `Quick test_portfolio_empty_rejected;
+        ] );
+      ( "lockfile",
+        [
+          Alcotest.test_case "records own pid" `Quick test_lock_records_own_pid;
+          Alcotest.test_case "excludes a live holder" `Quick
+            test_lock_excludes_live_holder;
+          Alcotest.test_case "release is idempotent" `Quick
+            test_lock_release_idempotent;
+          Alcotest.test_case "with_lock releases on exception" `Quick
+            test_with_lock_releases_on_exception;
+          Alcotest.test_case "reclaims a dead holder" `Quick
+            test_lock_reclaims_dead_holder;
+          Alcotest.test_case "reclaims an unreadable holder" `Quick
+            test_lock_reclaims_unreadable_holder;
+          Alcotest.test_case "per path" `Quick test_locks_are_per_path;
         ] );
       ("properties", qtests);
     ]

@@ -333,6 +333,24 @@ let test_exact_budget () =
   | G.Exact_coloring.Colorable _ | G.Exact_coloring.Uncolorable ->
       Alcotest.fail "3 nodes cannot decide K8 with 7 colours"
 
+let test_exact_degenerate () =
+  let module X = G.Exact_coloring in
+  Alcotest.check_raises "negative k"
+    (Invalid_argument "Exact_coloring.k_colorable") (fun () ->
+      ignore (X.k_colorable triangle ~k:(-1)));
+  (match X.k_colorable (Graph.create 0) ~k:0 with
+  | X.Colorable c -> Alcotest.(check int) "empty colouring" 0 (Array.length c)
+  | X.Uncolorable | X.Exhausted -> Alcotest.fail "the empty graph is 0-colourable");
+  (match X.k_colorable (Graph.create 1) ~k:0 with
+  | X.Uncolorable -> ()
+  | X.Colorable _ | X.Exhausted -> Alcotest.fail "a vertex needs a colour");
+  (match X.chromatic_number (Graph.create 0) with
+  | X.Exact 0 -> ()
+  | X.Exact _ | X.Bounds _ -> Alcotest.fail "chi(empty graph) = 0");
+  match X.chromatic_number (Graph.create 4) with
+  | X.Exact 1 -> ()
+  | X.Exact _ | X.Bounds _ -> Alcotest.fail "chi(edgeless graph) = 1"
+
 let brute_colorable g k =
   let n = Graph.num_vertices g in
   let coloring = Array.make (max n 1) 0 in
@@ -434,6 +452,7 @@ let () =
         Alcotest.test_case "triangle" `Quick test_exact_triangle
         :: Alcotest.test_case "petersen chromatic" `Quick test_exact_petersen_chromatic
         :: Alcotest.test_case "budget" `Quick test_exact_budget
+        :: Alcotest.test_case "degenerate inputs" `Quick test_exact_degenerate
         :: qtests [ prop_exact_matches_brute_force; prop_chromatic_between_bounds ] );
       ("dot", [ Alcotest.test_case "output" `Quick test_dot_output ]);
     ]

@@ -1,6 +1,7 @@
 (* Tests for the SAT substrate: literals, CNF building, DIMACS round trips,
-   the Luby sequence, the heap, and — most importantly — the CDCL solver
-   cross-checked against brute force and the independent DPLL solver. *)
+   the Luby sequence, the heap, the clause arena, and — most importantly —
+   the CDCL solver cross-checked against brute force and the independent
+   DPLL solver. *)
 
 module Lit = Fpgasat_sat.Lit
 module Cnf = Fpgasat_sat.Cnf
@@ -11,6 +12,8 @@ module Luby = Fpgasat_sat.Luby
 module Heap = Fpgasat_sat.Heap
 module Vec = Fpgasat_sat.Vec
 module Proof = Fpgasat_sat.Proof
+module Clause = Fpgasat_sat.Clause
+module Stats = Fpgasat_sat.Stats
 
 let cnf_of_dimacs_lists nvars clauses =
   let cnf = Cnf.create () in
@@ -280,6 +283,196 @@ let test_vec_gc_release () =
         false (Weak.check w i))
     [ 2; 3 ]
 
+let test_vec_edges () =
+  let v = Vec.of_list ~dummy:0 [ 3; 1; 4 ] in
+  Alcotest.(check (list int)) "of_list/to_list" [ 3; 1; 4 ] (Vec.to_list v);
+  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 4) v);
+  let sum = ref 0 in
+  Vec.iter (fun x -> sum := !sum + x) v;
+  Alcotest.(check int) "iter visits each once" 8 !sum;
+  Vec.clear v;
+  Alcotest.(check bool) "cleared" true (Vec.is_empty v);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Vec.pop") (fun () ->
+      ignore (Vec.pop v));
+  Alcotest.check_raises "last on empty" (Invalid_argument "Vec.last")
+    (fun () -> ignore (Vec.last v));
+  Alcotest.check_raises "get past size" (Invalid_argument "Vec.get") (fun () ->
+      ignore (Vec.get v 0));
+  Alcotest.check_raises "shrink cannot grow" (Invalid_argument "Vec.shrink")
+    (fun () -> Vec.shrink v 1)
+
+(* --- Heap, continued --- *)
+
+let test_heap_insert_idempotent_and_grow () =
+  let h = Heap.create ~scores:[| 2.0; 1.0 |] in
+  Heap.insert h 0;
+  Heap.insert h 0;
+  Heap.insert h 1;
+  Alcotest.(check int) "duplicate insert ignored" 2 (Heap.size h);
+  Alcotest.(check int) "max first" 0 (Heap.remove_max h);
+  Alcotest.(check bool) "removed leaves the heap" false (Heap.in_heap h 0);
+  Alcotest.(check int) "then the rest" 1 (Heap.remove_max h);
+  Alcotest.check_raises "empty heap" Not_found (fun () ->
+      ignore (Heap.remove_max h));
+  (* a variable added after creation joins once the scores grow *)
+  Heap.grow h [| 2.0; 1.0; 9.0 |];
+  Alcotest.(check bool) "new variable not yet in" false (Heap.in_heap h 2);
+  List.iter (Heap.insert h) [ 0; 1; 2 ];
+  Alcotest.(check int) "grown variable ranks by its score" 2
+    (Heap.remove_max h)
+
+(* --- Stats --- *)
+
+let test_stats_lbd_buckets_clamp () =
+  let s = Stats.create () in
+  List.iter (Stats.bump_lbd s) [ -2; 0; 3; 15; 16; 1000 ];
+  Alcotest.(check int) "bucket count" Stats.lbd_buckets
+    (Array.length s.Stats.lbd_hist);
+  Alcotest.(check int) "negative clamps to bucket 0" 2 s.Stats.lbd_hist.(0);
+  Alcotest.(check int) "in-range LBD in its own bucket" 1 s.Stats.lbd_hist.(3);
+  Alcotest.(check int) "the last bucket takes everything above" 3
+    s.Stats.lbd_hist.(Stats.lbd_buckets - 1);
+  Alcotest.(check int) "every bump counted once" 6
+    (Array.fold_left ( + ) 0 s.Stats.lbd_hist)
+
+(* --- Clause arena --- *)
+
+let clause_lits xs = Array.of_list (List.map Lit.of_dimacs xs)
+let clause_dimacs arena c = List.map Lit.to_dimacs (Clause.to_list arena c)
+
+let test_clause_alloc_layout () =
+  (* capacity 1 forces the arena to grow under the first allocation *)
+  let a = Clause.create ~capacity:1 () in
+  let c0 = Clause.alloc a (clause_lits [ 1; -2; 3 ]) in
+  let c1 = Clause.alloc ~learnt:true a (clause_lits [ -1; 4 ]) in
+  Alcotest.(check int) "first clause at offset 0" 0 c0;
+  Alcotest.(check int) "second follows the first's header and literals"
+    (Clause.header_words + 3) c1;
+  Alcotest.(check int) "fill counts headers and literals"
+    ((2 * Clause.header_words) + 5)
+    (Clause.fill a);
+  Alcotest.(check int) "size word leads the header" 2 (Clause.raw a).(c1);
+  Alcotest.(check (list int)) "literals read back" [ 1; -2; 3 ]
+    (clause_dimacs a c0);
+  Alcotest.(check (list int)) "second clause intact" [ -1; 4 ]
+    (clause_dimacs a c1);
+  Alcotest.(check (pair bool bool)) "learnt flags" (false, true)
+    (Clause.learnt a c0, Clause.learnt a c1);
+  Alcotest.(check (float 0.)) "fresh activity" 0. (Clause.activity a c1);
+  Alcotest.(check int) "fresh LBD" 0 (Clause.lbd a c1);
+  Alcotest.(check int) "nothing wasted" 0 (Clause.wasted a)
+
+let test_clause_deletion_wastes_once () =
+  let a = Clause.create () in
+  let c0 = Clause.alloc a (clause_lits [ 1; 2 ]) in
+  let c1 = Clause.alloc a (clause_lits [ -1; -2; -3; 4 ]) in
+  Clause.set_deleted a c1;
+  Clause.set_deleted a c1;
+  Alcotest.(check int) "header and literals wasted, counted once"
+    (Clause.header_words + 4) (Clause.wasted a);
+  Alcotest.(check (pair bool bool)) "only the deleted clause is marked"
+    (false, true)
+    (Clause.deleted a c0, Clause.deleted a c1);
+  Alcotest.(check (list int)) "readable until compaction" [ -1; -2; -3; 4 ]
+    (clause_dimacs a c1)
+
+let test_clause_activity_keeps_order () =
+  let a = Clause.create () in
+  let values = [ 0.; 1e-300; 0.5; 1.0; 3.25; 1e20; 1e300 ] in
+  let stored =
+    List.map
+      (fun x ->
+        let c = Clause.alloc ~learnt:true a (clause_lits [ 1 ]) in
+        Clause.set_activity a c x;
+        Clause.activity a c)
+      values
+  in
+  List.iter2
+    (fun x y ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%g read back within one ulp" x)
+        true
+        (Float.abs (x -. y) <= Float.abs x *. epsilon_float))
+    values stored;
+  Alcotest.(check (list (float 0.))) "order kept" stored
+    (List.sort compare stored);
+  (* only the least significant mantissa bit is lost *)
+  let c = Clause.alloc a (clause_lits [ 1 ]) in
+  Clause.set_activity a c (Float.succ 1.0);
+  Alcotest.(check (float 0.)) "1 + ulp stores as 1" 1.0 (Clause.activity a c)
+
+let test_clause_lbd_keeps_flags () =
+  let a = Clause.create () in
+  let c = Clause.alloc ~learnt:true a (clause_lits [ 1; 2; 3 ]) in
+  Clause.set_lbd a c 7;
+  Clause.set_deleted a c;
+  Clause.set_lbd a c 5;
+  Alcotest.(check int) "LBD overwritten" 5 (Clause.lbd a c);
+  Alcotest.(check (pair bool bool)) "learnt and deleted survive set_lbd"
+    (true, true)
+    (Clause.learnt a c, Clause.deleted a c);
+  Clause.swap a c 0 2;
+  Clause.set_lit a c 1 (Lit.of_dimacs (-9));
+  Alcotest.(check (list int)) "swap and set_lit" [ 3; -9; 1 ]
+    (clause_dimacs a c);
+  Alcotest.(check int) "lit reads one slot" 3 (Lit.to_dimacs (Clause.lit a c 0));
+  Alcotest.(check string) "pp prints DIMACS literals" "3 -9 1"
+    (Format.asprintf "%a" (Clause.pp a) c)
+
+let test_clause_reloc_forwards_once () =
+  let src = Clause.create () in
+  let dead = Clause.alloc src (clause_lits [ 1; 2 ]) in
+  let c = Clause.alloc ~learnt:true src (clause_lits [ -1; 3; 4 ]) in
+  Clause.set_activity src c 2.5;
+  Clause.set_lbd src c 3;
+  Clause.set_deleted src dead;
+  let dst = Clause.create ~capacity:1 () in
+  let moved = Clause.reloc ~src ~dst c in
+  Alcotest.(check int) "a second reloc returns the forwarding target" moved
+    (Clause.reloc ~src ~dst c);
+  Alcotest.(check int) "copied once; the deleted clause is dropped"
+    (Clause.header_words + 3) (Clause.fill dst);
+  Alcotest.(check int) "nothing wasted in the fresh arena" 0 (Clause.wasted dst);
+  Alcotest.(check (list int)) "literals moved" [ -1; 3; 4 ]
+    (clause_dimacs dst moved);
+  Alcotest.(check bool) "learnt moved" true (Clause.learnt dst moved);
+  Alcotest.(check int) "LBD moved" 3 (Clause.lbd dst moved);
+  Alcotest.(check (float 0.)) "activity moved" 2.5 (Clause.activity dst moved)
+
+let prop_clause_compaction_keeps_live =
+  QCheck2.Test.make ~count:200 ~name:"compaction keeps exactly the live clauses"
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (pair bool
+           (list_size (int_range 1 6)
+              (map2 (fun v s -> if s then v else -v) (int_range 1 20) bool))))
+    (fun clauses ->
+      let src = Clause.create ~capacity:1 () in
+      let crefs =
+        List.map (fun (_, lits) -> Clause.alloc src (clause_lits lits)) clauses
+      in
+      List.iter2
+        (fun (dead, _) c -> if dead then Clause.set_deleted src c)
+        clauses crefs;
+      let words (_, lits) = Clause.header_words + List.length lits in
+      let live = List.filter (fun (dead, _) -> not dead) clauses in
+      let dead_words =
+        List.fold_left
+          (fun acc ((dead, _) as c) -> if dead then acc + words c else acc)
+          0 clauses
+      in
+      let dst = Clause.create ~capacity:1 () in
+      let moved =
+        List.concat
+          (List.map2
+             (fun (dead, _) c ->
+               if dead then [] else [ Clause.reloc ~src ~dst c ])
+             clauses crefs)
+      in
+      Clause.wasted src = dead_words
+      && Clause.fill dst = List.fold_left (fun acc c -> acc + words c) 0 live
+      && List.map (clause_dimacs dst) moved = List.map snd live)
+
 (* --- solver on hand-written formulas --- *)
 
 let test_solver_empty_formula () =
@@ -337,6 +530,30 @@ let test_solver_php_sat () =
   | Solver.Sat m, _ ->
       Alcotest.(check bool) "model checks" true (Solver.check_model (php 5 5) m)
   | _ -> Alcotest.fail "PHP 5/5 is SAT"
+
+(* The DPLL oracle answers the trivial cases outright and gives up, rather
+   than guessing, once its decision budget is spent. *)
+let test_dpll_trivial_formulas () =
+  (match Dpll.solve (Cnf.create ()) with
+  | Dpll.Sat m -> Alcotest.(check int) "empty formula: empty model" 0 (Array.length m)
+  | Dpll.Unsat | Dpll.Unknown -> Alcotest.fail "the empty formula is SAT");
+  let empty_clause = Cnf.create () in
+  Cnf.add_clause empty_clause [];
+  (match Dpll.solve empty_clause with
+  | Dpll.Unsat -> ()
+  | Dpll.Sat _ | Dpll.Unknown -> Alcotest.fail "empty clause is UNSAT");
+  match Dpll.solve (cnf_of_dimacs_lists 1 [ [ 1 ]; [ -1 ] ]) with
+  | Dpll.Unsat -> ()
+  | Dpll.Sat _ | Dpll.Unknown -> Alcotest.fail "unit conflict is UNSAT"
+
+let test_dpll_budget_unknown () =
+  (match Dpll.solve ~max_decisions:3 (php 6 5) with
+  | Dpll.Unknown -> ()
+  | Dpll.Unsat | Dpll.Sat _ ->
+      Alcotest.fail "3 decisions cannot refute PHP 6/5");
+  match Dpll.solve (php 4 3) with
+  | Dpll.Unsat -> ()
+  | Dpll.Sat _ | Dpll.Unknown -> Alcotest.fail "unbounded DPLL refutes PHP 4/3"
 
 let test_solver_budget_unknown () =
   let cnf = php 9 8 in
@@ -698,13 +915,32 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "rescore" `Quick test_heap_rescore;
+          Alcotest.test_case "insert idempotent and grow" `Quick
+            test_heap_insert_idempotent_and_grow;
         ] );
       ( "vec",
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "vacated slots are collectable" `Quick
             test_vec_gc_release;
+          Alcotest.test_case "edges" `Quick test_vec_edges;
         ] );
+      ( "stats",
+        [
+          Alcotest.test_case "lbd buckets clamp" `Quick
+            test_stats_lbd_buckets_clamp;
+        ] );
+      ( "clause",
+        Alcotest.test_case "alloc layout" `Quick test_clause_alloc_layout
+        :: Alcotest.test_case "deletion wastes once" `Quick
+             test_clause_deletion_wastes_once
+        :: Alcotest.test_case "activity keeps order" `Quick
+             test_clause_activity_keeps_order
+        :: Alcotest.test_case "lbd keeps flags" `Quick test_clause_lbd_keeps_flags
+        :: Alcotest.test_case "reloc forwards once" `Quick
+             test_clause_reloc_forwards_once
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_clause_compaction_keeps_live ] );
       ( "solver",
         [
           Alcotest.test_case "empty formula" `Quick test_solver_empty_formula;
@@ -723,6 +959,11 @@ let () =
           Alcotest.test_case "presets agree" `Quick test_solver_both_presets_agree;
           Alcotest.test_case "wide clauses" `Quick test_solver_wide_clauses;
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
+        ] );
+      ( "dpll",
+        [
+          Alcotest.test_case "trivial formulas" `Quick test_dpll_trivial_formulas;
+          Alcotest.test_case "budget gives Unknown" `Quick test_dpll_budget_unknown;
         ] );
       qsuite "solver-properties"
         [

@@ -1,37 +1,18 @@
-(* Tests for the SAT extras: the DRAT forward checker, incremental
-   assumptions, and WalkSAT — each cross-checked against the CDCL solver
-   and brute force on random formulas. *)
+(* Tests for the SAT extras: the DRAT forward checker and incremental
+   assumptions — each cross-checked against the CDCL solver on random
+   formulas. *)
 
 module Lit = Fpgasat_sat.Lit
 module Cnf = Fpgasat_sat.Cnf
 module Solver = Fpgasat_sat.Solver
 module Proof = Fpgasat_sat.Proof
 module Drat = Fpgasat_sat.Drat_check
-module Walksat = Fpgasat_sat.Walksat
 
 let cnf_of nvars clauses =
   let cnf = Cnf.create () in
   Cnf.ensure_vars cnf nvars;
   List.iter (fun c -> Cnf.add_clause cnf (List.map Lit.of_dimacs c)) clauses;
   cnf
-
-let brute_force cnf =
-  let n = Cnf.num_vars cnf in
-  assert (n <= 16);
-  let sat_under m =
-    Cnf.fold_clauses cnf ~init:true ~f:(fun acc arena off len ->
-        acc
-        &&
-        let rec any k =
-          k < off + len
-          && ((m lsr Lit.var arena.(k)) land 1
-              = (if Lit.sign arena.(k) then 1 else 0)
-             || any (k + 1))
-        in
-        any off)
-  in
-  let rec go m = if m >= 1 lsl n then false else sat_under m || go (m + 1) in
-  go 0
 
 let gen_random_cnf =
   QCheck2.Gen.(
@@ -756,65 +737,6 @@ let test_units_match_fresh_solver () =
   done;
   Alcotest.(check int) "both verdicts seen" 2 (Hashtbl.length answers)
 
-(* --- WalkSAT --- *)
-
-let test_walksat_finds_model () =
-  let cnf = cnf_of 4 [ [ 1; 2 ]; [ -1; 3 ]; [ -3; 4 ]; [ -2; -4; 1 ] ] in
-  match Walksat.solve cnf with
-  | Walksat.Sat m, flips ->
-      Alcotest.(check bool) "model checks" true (Solver.check_model cnf m);
-      Alcotest.(check bool) "flips counted" true (flips >= 0)
-  | Walksat.Unknown, _ -> Alcotest.fail "trivially satisfiable formula missed"
-
-let test_walksat_php_sat () =
-  let cnf = php 6 6 in
-  match Walksat.solve cnf with
-  | Walksat.Sat m, _ ->
-      Alcotest.(check bool) "model checks" true (Solver.check_model cnf m)
-  | Walksat.Unknown, _ -> Alcotest.fail "PHP 6/6 is satisfiable"
-
-let test_walksat_gives_up_on_unsat () =
-  let cnf = cnf_of 1 [ [ 1 ]; [ -1 ] ] in
-  let params = { Walksat.default_params with max_tries = 2; max_flips = 100 } in
-  match Walksat.solve ~params cnf with
-  | Walksat.Unknown, _ -> ()
-  | Walksat.Sat _, _ -> Alcotest.fail "found a model of an UNSAT formula"
-
-let test_walksat_empty_clause () =
-  let cnf = Cnf.create () in
-  Cnf.add_clause cnf [];
-  match Walksat.solve cnf with
-  | Walksat.Unknown, 0 -> ()
-  | _ -> Alcotest.fail "empty clause must give Unknown immediately"
-
-let test_walksat_deterministic () =
-  let cnf = php 5 5 in
-  let r1 = Walksat.solve cnf and r2 = Walksat.solve cnf in
-  Alcotest.(check bool) "same flip count" true (snd r1 = snd r2)
-
-let quick_params =
-  { Walksat.default_params with Walksat.max_tries = 3; max_flips = 5_000 }
-
-let prop_walksat_models_valid =
-  QCheck2.Test.make ~count:300 ~name:"WalkSAT models satisfy the formula"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      match Walksat.solve ~params:quick_params cnf with
-      | Walksat.Sat m, _ -> Solver.check_model cnf m
-      | Walksat.Unknown, _ -> true)
-
-let prop_walksat_agrees_when_sat =
-  QCheck2.Test.make ~count:200 ~name:"WalkSAT finds models of easy SAT formulas"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      (* on <=8 vars, the default budget makes WalkSAT essentially complete
-         for satisfiable formulas *)
-      if brute_force cnf then
-        match Walksat.solve ~params:quick_params cnf with
-        | Walksat.Sat _, _ -> true
-        | Walksat.Unknown, _ -> false
-      else true)
-
 let qtests = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -869,11 +791,4 @@ let () =
         :: qtests
              [ prop_assumptions_match_unit_clauses; prop_solver_reusable_across_queries ]
       );
-      ( "walksat",
-        Alcotest.test_case "finds a model" `Quick test_walksat_finds_model
-        :: Alcotest.test_case "php sat" `Quick test_walksat_php_sat
-        :: Alcotest.test_case "gives up on unsat" `Quick test_walksat_gives_up_on_unsat
-        :: Alcotest.test_case "empty clause" `Quick test_walksat_empty_clause
-        :: Alcotest.test_case "deterministic" `Quick test_walksat_deterministic
-        :: qtests [ prop_walksat_models_valid; prop_walksat_agrees_when_sat ] );
     ]
